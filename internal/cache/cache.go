@@ -112,9 +112,12 @@ func New(cfg Config) *Cache {
 		lru:       make([]uint64, sets*cfg.Ways),
 	}
 	if cfg.DataLines {
+		// One backing array for every line's payload; the full-slice
+		// expression caps each line so it cannot grow into its neighbour.
 		words := cfg.LineBytes / 4
+		data := make([]uint32, len(c.lines)*words)
 		for i := range c.lines {
-			c.lines[i].data = make([]uint32, words)
+			c.lines[i].data = data[i*words : (i+1)*words : (i+1)*words]
 		}
 	}
 	return c

@@ -122,3 +122,46 @@ func TestChildOffsetsWithinFootprintSpan(t *testing.T) {
 		}
 	}
 }
+
+// fuzzTexture builds a small texture of 2^wExp x 2^hExp texels (exponents
+// taken mod 7) with distinct texel values and assigned addresses.
+func fuzzTexture(wExp, hExp uint8, linear, clamp, compressed bool) *Texture {
+	layout, wrap := LayoutMorton, WrapRepeat
+	if linear {
+		layout = LayoutLinear
+	}
+	if clamp {
+		wrap = WrapClamp
+	}
+	w, h := 1<<(wExp%7), 1<<(hExp%7)
+	tx := NewTexture(0, "fuzz", w, h, layout, wrap)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			v := xrand.Hash2D(0xf22, int32(x), int32(y))
+			tx.SetTexel(0, x, y, Color{R: v, G: 1 - v, B: v * v, A: 1})
+		}
+	}
+	tx.BuildMipmaps()
+	if compressed {
+		tx.Compress()
+	}
+	tx.AssignAddresses(0x4000)
+	return tx
+}
+
+// FuzzTexelAndAddr requires TexelAndAddr to equal (TexelAddr, Texel) for
+// both layouts and wrap modes, compressed textures, non-square levels,
+// out-of-range levels and negative or far out-of-range coordinates. The
+// seed corpus is in testdata/fuzz/FuzzTexelAndAddr.
+func FuzzTexelAndAddr(f *testing.F) {
+	f.Fuzz(func(t *testing.T, wExp, hExp uint8, linear, clamp, compressed bool, lv, x, y int) {
+		tx := fuzzTexture(wExp, hExp, linear, clamp, compressed)
+		addr, c := tx.TexelAndAddr(lv, x, y)
+		if want := tx.TexelAddr(lv, x, y); addr != want {
+			t.Fatalf("address %#x, TexelAddr says %#x", addr, want)
+		}
+		if want := tx.Texel(lv, x, y); c != want {
+			t.Fatalf("color %+v, Texel says %+v", c, want)
+		}
+	})
+}

@@ -297,24 +297,31 @@ func (s *Sampler) bilinearVia(t *Texture, level int, u, v float32, f Footprint, 
 // ParentTexelCoords enumerates the 8 (level, x, y) parent-texel coordinates
 // a reordered sample touches, in deterministic order: level-0 corners then
 // level-1 corners. When the LOD needs only one level, 4 coordinates are
-// returned.
+// returned. SampleAnisoReordered requests the parents in this order.
 func ParentTexelCoords(t *Texture, u, v float32, f Footprint) []ParentCoord {
+	return AppendParentTexelCoords(make([]ParentCoord, 0, 8), t, u, v, f)
+}
+
+// AppendParentTexelCoords is ParentTexelCoords appending to dst.
+func AppendParentTexelCoords(dst []ParentCoord, t *Texture, u, v float32, f Footprint) []ParentCoord {
 	l0, l1, w := trilinearLevels(t, f.Lod)
-	out := make([]ParentCoord, 0, 8)
-	appendLevel := func(level int) {
-		x0, y0, _, _ := bilinearSetup(t, level, u, v)
-		out = append(out,
-			ParentCoord{Level: level, X: x0, Y: y0},
-			ParentCoord{Level: level, X: x0 + 1, Y: y0},
-			ParentCoord{Level: level, X: x0, Y: y0 + 1},
-			ParentCoord{Level: level, X: x0 + 1, Y: y0 + 1},
-		)
-	}
-	appendLevel(l0)
+	dst = appendParentLevel(dst, t, l0, u, v)
 	if l1 != l0 && w != 0 {
-		appendLevel(l1)
+		dst = appendParentLevel(dst, t, l1, u, v)
 	}
-	return out
+	return dst
+}
+
+// appendParentLevel appends the 4 bilinear corners of (u, v) on level in
+// the order bilinearVia fetches them.
+func appendParentLevel(dst []ParentCoord, t *Texture, level int, u, v float32) []ParentCoord {
+	x0, y0, _, _ := bilinearSetup(t, level, u, v)
+	return append(dst,
+		ParentCoord{Level: level, X: x0, Y: y0},
+		ParentCoord{Level: level, X: x0 + 1, Y: y0},
+		ParentCoord{Level: level, X: x0, Y: y0 + 1},
+		ParentCoord{Level: level, X: x0 + 1, Y: y0 + 1},
+	)
 }
 
 // ParentCoord identifies one parent texel.

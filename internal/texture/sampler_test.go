@@ -2,6 +2,7 @@ package texture
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -202,26 +203,31 @@ func TestAverageChildrenN1IsPlainTexel(t *testing.T) {
 }
 
 func TestParentTexelCoordsMatchReorderedSampler(t *testing.T) {
-	// Every coordinate the reordered sampler requests must be enumerated
-	// by ParentTexelCoords (the A-TFIM path relies on this contract).
+	// The reordered sampler requests exactly the coordinates
+	// ParentTexelCoords enumerates, in the same order (the A-TFIM path
+	// relies on this contract to index parent values by position), and
+	// AppendParentTexelCoords appends the same list after dst's prefix.
 	tx := noiseTexture(64)
 	s := Sampler{MaxAniso: 16}
 	rng := xrand.New(5)
+	prefix := ParentCoord{Level: -1}
 	for i := 0; i < 500; i++ {
 		u := rng.Float32()
 		v := rng.Float32()
 		foot := Footprint{Lod: rng.Range(0, 4), N: 1 + rng.Intn(8), AxisU: rng.Range(-0.1, 0.1)}
-		coords := map[ParentCoord]bool{}
-		for _, pc := range ParentTexelCoords(tx, u, v, foot) {
-			coords[pc] = true
+		coords := ParentTexelCoords(tx, u, v, foot)
+		if got := AppendParentTexelCoords([]ParentCoord{prefix}, tx, u, v, foot); got[0] != prefix || !slices.Equal(got[1:], coords) {
+			t.Fatalf("AppendParentTexelCoords = %v, want %v after the prefix", got, coords)
 		}
+		var requested []ParentCoord
 		s.SampleAnisoReordered(tx, u, v, foot,
 			func(_ *Texture, level, x, y int, _ Footprint) Color {
-				if !coords[ParentCoord{Level: level, X: x, Y: y}] {
-					t.Fatalf("sampler requested (%d,%d,%d) not in ParentTexelCoords", level, x, y)
-				}
+				requested = append(requested, ParentCoord{Level: level, X: x, Y: y})
 				return Color{A: 1}
 			})
+		if !slices.Equal(requested, coords) {
+			t.Fatalf("sampler requested %v, ParentTexelCoords lists %v", requested, coords)
+		}
 	}
 }
 

@@ -173,11 +173,44 @@ func (t *Texture) TexelAddr(lv, x, y int) uint64 {
 	return l.Addr + uint64(texelIndex(t.Layout, l.W, l.H, x, y))*4
 }
 
+// TexelAndAddr returns TexelAddr(lv, x, y) and Texel(lv, x, y) together,
+// wrapping the coordinates and computing the texel index once.
+func (t *Texture) TexelAndAddr(lv, x, y int) (uint64, Color) {
+	lv = t.ClampLevel(lv)
+	l := &t.Levels[lv]
+	x = wrapCoord(t.Wrap, x, l.W)
+	y = wrapCoord(t.Wrap, y, l.H)
+	if t.Compressed {
+		return t.compressedTexelAddr(lv, x, y), t.compressedTexel(lv, x, y)
+	}
+	idx := texelIndex(t.Layout, l.W, l.H, x, y)
+	return l.Addr + uint64(idx)*4, Unpack(l.Pix[idx])
+}
+
 // LineTexel identifies one texel within a cache line: its coordinates and
 // its byte offset from the line base.
 type LineTexel struct {
 	X, Y int
 	Off  int
+}
+
+// texelsPerLine is the number of RGBA8 texels in a 64-byte memory line.
+const texelsPerLine = 16
+
+// lineBase returns the clamped level holding texel (x, y) of level lv and
+// the index of the first texel of the memory line that contains it.
+func (t *Texture) lineBase(lv, x, y int) (*Level, int) {
+	l := &t.Levels[t.ClampLevel(lv)]
+	x = wrapCoord(t.Wrap, x, l.W)
+	y = wrapCoord(t.Wrap, y, l.H)
+	return l, texelIndex(t.Layout, l.W, l.H, x, y) &^ (texelsPerLine - 1)
+}
+
+// LineAddr returns the base address of the 64-byte memory line that
+// contains texel (x, y) of level lv, as LineTexels reports it.
+func (t *Texture) LineAddr(lv, x, y int) uint64 {
+	l, base := t.lineBase(lv, x, y)
+	return l.Addr + uint64(base)*4
 }
 
 // LineTexels enumerates the texels stored in the 64-byte memory line that
@@ -186,24 +219,18 @@ type LineTexel struct {
 // granularity at which the A-TFIM composing stage groups parent texels
 // ("the same format as a normal bilinear fetch", Section V-D).
 func (t *Texture) LineTexels(lv, x, y int) (lineAddr uint64, texels []LineTexel) {
-	lv = t.ClampLevel(lv)
-	l := &t.Levels[lv]
-	x = wrapCoord(t.Wrap, x, l.W)
-	y = wrapCoord(t.Wrap, y, l.H)
-	idx := texelIndex(t.Layout, l.W, l.H, x, y)
-	const perLine = 16 // 64B line / 4B texel
-	base := idx &^ (perLine - 1)
-	lineAddr = l.Addr + uint64(base)*4
-	n := perLine
-	if base+n > len(l.Pix) {
-		n = len(l.Pix) - base
-	}
-	texels = make([]LineTexel, 0, n)
+	return t.LineAddr(lv, x, y), t.AppendLineTexels(make([]LineTexel, 0, texelsPerLine), lv, x, y)
+}
+
+// AppendLineTexels appends the texels LineTexels enumerates to dst.
+func (t *Texture) AppendLineTexels(dst []LineTexel, lv, x, y int) []LineTexel {
+	l, base := t.lineBase(lv, x, y)
+	n := min(texelsPerLine, len(l.Pix)-base)
 	for k := 0; k < n; k++ {
 		tx, ty := inverseTexelIndex(t.Layout, l.W, l.H, base+k)
-		texels = append(texels, LineTexel{X: tx, Y: ty, Off: k * 4})
+		dst = append(dst, LineTexel{X: tx, Y: ty, Off: k * 4})
 	}
-	return lineAddr, texels
+	return dst
 }
 
 // ClampLevel clamps a mip level index into the chain.

@@ -2,8 +2,11 @@ package texture
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xrand"
 )
 
 func TestPackUnpackRoundTrip(t *testing.T) {
@@ -232,6 +235,31 @@ func TestSynthesizeAllKindsInRange(t *testing.T) {
 		}
 		if len(tx.Levels[0].Pix) != 256 {
 			t.Errorf("kind %v: wrong pixel count", k)
+		}
+	}
+}
+
+// TestAppendLineTexelsMatchesLineTexels checks the appending form against
+// the allocating one on a non-empty destination whose prefix must survive,
+// and LineAddr against the address LineTexels reports.
+func TestAppendLineTexelsMatchesLineTexels(t *testing.T) {
+	for _, layout := range []Layout{LayoutMorton, LayoutLinear} {
+		tx := NewTexture(0, "t", 64, 16, layout, WrapRepeat)
+		tx.AssignAddresses(0x1000)
+		rng := xrand.New(31)
+		dst := []LineTexel{{X: -1, Y: -1, Off: -1}}
+		for i := 0; i < 2000; i++ {
+			lv := rng.Intn(tx.NumLevels()+2) - 1
+			x, y := rng.Intn(200)-100, rng.Intn(200)-100
+			wantAddr, want := tx.LineTexels(lv, x, y)
+			if addr := tx.LineAddr(lv, x, y); addr != wantAddr {
+				t.Fatalf("%v (%d,%d,%d): LineAddr %#x, want %#x", layout, lv, x, y, addr, wantAddr)
+			}
+			got := tx.AppendLineTexels(dst[:1], lv, x, y)
+			if got[0] != dst[0] || !slices.Equal(got[1:], want) {
+				t.Fatalf("%v (%d,%d,%d): appended %v, want %v after the prefix", layout, lv, x, y, got, want)
+			}
+			dst = got
 		}
 	}
 }

@@ -43,9 +43,26 @@ type ATFIMPath struct {
 	upPkg   []packageMeter
 	downPkg []packageMeter
 
-	// parentValues resolves parent coords to colors for the reordered
-	// sampler; reused across requests to avoid allocation.
-	parentValues map[texture.ParentCoord]texture.Color
+	// Per-request scratch, reused so Sample allocates nothing in steady
+	// state. A path belongs to one shard worker, so it needs no locking.
+	//
+	// parents lists the request's parent texels in the order the
+	// reordered sampler asks for them; parentValues[k] is parents[k]'s
+	// color. missing holds the parents to compute in memory, lines the
+	// distinct memory lines they fall in (texels in lineTexels), offs the
+	// child offsets of one mip level.
+	parents      []texture.ParentCoord
+	parentValues [8]texture.Color
+	missing      []parentMiss
+	lines        []lineJob
+	lineTexels   []texture.LineTexel
+	offs         []childOffset
+	// granules, genDone and curMax belong to the offload in progress: the
+	// consolidated granule fetches, the cycle the Texel Generator has
+	// produced the child addresses, and the latest vault completion.
+	granules granuleTable
+	genDone  int64
+	curMax   int64
 
 	// ptb models Parent Texel Buffer back-pressure, banked by requesting
 	// texture unit so one unit's burst does not block the others (the
@@ -60,27 +77,45 @@ type ATFIMPath struct {
 	offloadTrack []string
 }
 
-// parentMiss records one parent texel that must be computed in memory,
-// together with the cache slots its value will be stored into. fullLine
-// marks compulsory/capacity misses, for which the composing stage computes
-// and returns the whole 16-texel line; angle recalculations recompute only
-// the requested parent texel (Section V-C: "re-fetch from the HMC so that
-// the parent texel can be recalculated").
+// parentMiss records one parent texel that must be computed in memory:
+// its position k in the request's parent list, its texel address, and the
+// L1/L2 lines (and byte offset within them) its value will be stored into.
+// Compulsory misses and angle recalculations alike recompute the whole
+// 16-texel line: a line carries one camera angle (Section V-D), so all of
+// its texels are refreshed under the new angle together.
 type parentMiss struct {
-	coord    texture.ParentCoord
-	l1Line   int
-	l1Off    int
-	l2Line   int
-	l2Off    int
-	fullLine bool
+	coord  texture.ParentCoord
+	k      int
+	addr   uint64
+	l1Line int
+	l2Line int
+	off    int
 }
+
+// lineJob is one distinct memory line the composing stage computes: its
+// address and level, its texels (lineTexels[start:end]), and the L1/L2
+// lines that receive it.
+type lineJob struct {
+	addr       uint64
+	level      int
+	start, end int
+	l1Line     int
+	l2Line     int
+}
+
+// childOffset is one child texel's offset from its parent.
+type childOffset struct{ dx, dy int }
 
 // NewATFIMPath builds the A-TFIM path over the cube.
 func NewATFIMPath(cfg config.Config, cube hmc.Cube) *ATFIMPath {
 	a := &ATFIMPath{
-		cfg:          cfg,
-		cube:         cube,
-		parentValues: make(map[texture.ParentCoord]texture.Color, 16),
+		cfg:        cfg,
+		cube:       cube,
+		parents:    make([]texture.ParentCoord, 0, 8),
+		missing:    make([]parentMiss, 0, 8),
+		lines:      make([]lineJob, 0, 8),
+		lineTexels: make([]texture.LineTexel, 0, 8*16),
+		offs:       make([]childOffset, 0, cfg.GPU.MaxAniso),
 	}
 	a.upPkg = make([]packageMeter, cfg.GPU.TextureUnits)
 	a.downPkg = make([]packageMeter, cfg.GPU.TextureUnits)
@@ -129,15 +164,15 @@ func (a *ATFIMPath) Sample(now int64, req *gpu.TexRequest) gpu.TexResult {
 	angle := req.Foot.Angle
 
 	// 1. Parent texel addresses with anisotropic filtering disabled.
-	parents := texture.ParentTexelCoords(req.Tex, req.U, req.V, req.Foot)
+	a.parents = texture.AppendParentTexelCoords(a.parents[:0], req.Tex, req.U, req.V, req.Foot)
+	parents := a.parents
 	a.act.ParentTexelsServed += uint64(len(parents))
 	a.act.GPUTexelFetches += uint64(len(parents))
 
-	clear(a.parentValues)
-	var missing []parentMiss
+	a.missing = a.missing[:0]
 	maxHitLat := int64(0)
 
-	for _, pc := range parents {
+	for k, pc := range parents {
 		addr := req.Tex.TexelAddr(pc.Level, pc.X, pc.Y)
 		off := int(addr % mem.LineSize)
 		a.act.L1Accesses++
@@ -146,7 +181,7 @@ func (a *ATFIMPath) Sample(now int64, req *gpu.TexRequest) gpu.TexResult {
 			a.act.AngleRecalcs++
 		}
 		if r1.Hit && a.l1[unit].WordValid(r1.LineIndex, off) {
-			a.parentValues[pc] = texture.Unpack(a.l1[unit].Word(r1.LineIndex, off))
+			a.parentValues[k] = texture.Unpack(a.l1[unit].Word(r1.LineIndex, off))
 			if l1HitLatency > maxHitLat {
 				maxHitLat = l1HitLatency
 			}
@@ -159,7 +194,7 @@ func (a *ATFIMPath) Sample(now int64, req *gpu.TexRequest) gpu.TexResult {
 		}
 		if r2.Hit && a.l2.WordValid(r2.LineIndex, off) {
 			c := texture.Unpack(a.l2.Word(r2.LineIndex, off))
-			a.parentValues[pc] = c
+			a.parentValues[k] = c
 			// Promote into L1.
 			a.l1[unit].SetWord(r1.LineIndex, off, texture.Pack(c))
 			if l2HitLatency > maxHitLat {
@@ -167,28 +202,29 @@ func (a *ATFIMPath) Sample(now int64, req *gpu.TexRequest) gpu.TexResult {
 			}
 			continue
 		}
-		missing = append(missing, parentMiss{
-			coord: pc, l1Line: r1.LineIndex, l1Off: off,
-			l2Line: r2.LineIndex, l2Off: off,
-			// Recalculations refresh the whole line: the line carries one
-			// camera angle (Section V-D), so all of its texels are
-			// recomputed under the new angle together.
-			fullLine: true,
+		a.missing = append(a.missing, parentMiss{
+			coord: pc, k: k, addr: addr,
+			l1Line: r1.LineIndex, l2Line: r2.LineIndex, off: off,
 		})
 	}
+	missing := a.missing
 
 	memDone := issue + maxHitLat
 	if len(missing) > 0 {
-		memDone = a.offload(issue, unit, req, missing)
+		memDone = a.offload(issue, unit, req)
 		if hd := issue + maxHitLat; hd > memDone {
 			memDone = hd
 		}
 	}
 
 	// 4. On-chip bilinear + trilinear over the approximated parent texels.
+	// The sampler asks for the parents in AppendParentTexelCoords order.
+	next := 0
 	color := a.sampler.SampleAnisoReordered(req.Tex, req.U, req.V, req.Foot,
-		func(_ *texture.Texture, level, x, y int, _ texture.Footprint) texture.Color {
-			return a.parentValues[texture.ParentCoord{Level: level, X: x, Y: y}]
+		func(*texture.Texture, int, int, int, texture.Footprint) texture.Color {
+			c := a.parentValues[next]
+			next++
+			return c
 		})
 
 	nParents := len(parents)
@@ -216,17 +252,18 @@ func (a *ATFIMPath) Sample(now int64, req *gpu.TexRequest) gpu.TexResult {
 	return gpu.TexResult{Color: color, Done: done}
 }
 
-// offload models steps 2-3 of the walkthrough: one Offloading Unit package
-// carries the missing parent texels to the cube; the Texel Generator
-// derives child texels; the Child Texel Consolidation merges duplicate
-// fetches; the vaults serve the children internally; the Combination Unit
-// averages children into parents. The composing stage groups results at
-// normal-bilinear-fetch (cache line) granularity, so the whole 4x4 texel
-// block of each missing line is computed and returned — one response line
-// per missing line, filled into L1 and L2 with the request's camera angle.
-// Returns the cycle the response reaches the GPU.
-func (a *ATFIMPath) offload(now int64, unit int, req *gpu.TexRequest, missing []parentMiss) int64 {
+// offload models steps 2-3 of the walkthrough for the parents in
+// a.missing: one Offloading Unit package carries them to the cube; the
+// Texel Generator derives child texels; the Child Texel Consolidation
+// merges duplicate fetches; the vaults serve the children internally; the
+// Combination Unit averages children into parents. The composing stage
+// groups results at normal-bilinear-fetch (cache line) granularity, so the
+// whole 4x4 texel block of each missing line is computed and returned —
+// one response line per missing line, filled into L1 and L2 with the
+// request's camera angle. Returns the cycle the response reaches the GPU.
+func (a *ATFIMPath) offload(now int64, unit int, req *gpu.TexRequest) int64 {
 	cubeCfg := a.cube.Config()
+	missing := a.missing
 
 	// Parent Texel Buffer back-pressure.
 	ptb := a.ptb[unit%len(a.ptb)]
@@ -241,7 +278,7 @@ func (a *ATFIMPath) offload(now int64, unit int, req *gpu.TexRequest, missing []
 	if reqPayload < 0 {
 		reqPayload = 0
 	}
-	routeAddr := req.Tex.TexelAddr(missing[0].coord.Level, missing[0].coord.X, missing[0].coord.Y)
+	routeAddr := missing[0].addr
 	arrive := a.cube.SendPacketTo(start, routeAddr, reqPayload/quadCoalesce)
 	a.traffic.Record(mem.ClassTexture, mem.Write, uint32(a.upPkg[unit].bytes(reqBytes, reqBytes/quadCoalesce)))
 	a.act.OffloadPackets++
@@ -249,100 +286,62 @@ func (a *ATFIMPath) offload(now int64, unit int, req *gpu.TexRequest, missing []
 	foot := req.Foot
 	tex := req.Tex
 
-	// Group compulsory misses by their containing memory line — each
-	// unique line is computed once, in full (the composing stage returns
-	// whole bilinear-fetch-shaped blocks). Angle recalculations recompute
-	// only their single parent texel.
-	type lineJob struct {
-		level  int
-		texels []texture.LineTexel
-		l1Line int
-		l2Line int
-	}
-	jobs := make(map[uint64]*lineJob, len(missing))
-	order := make([]uint64, 0, len(missing))
-	var singles []parentMiss
+	// Group the misses by their containing memory line — each unique line
+	// is computed once, in full (the composing stage returns whole
+	// bilinear-fetch-shaped blocks).
+	a.lines = a.lines[:0]
+	a.lineTexels = a.lineTexels[:0]
 	for _, m := range missing {
-		if !m.fullLine {
-			singles = append(singles, m)
-			continue
-		}
-		lineAddr, texels := tex.LineTexels(m.coord.Level, m.coord.X, m.coord.Y)
-		if _, ok := jobs[lineAddr]; ok {
+		la := tex.LineAddr(m.coord.Level, m.coord.X, m.coord.Y)
+		if a.hasLine(la) {
 			// Same cache line; indices agree.
 			continue
 		}
-		jobs[lineAddr] = &lineJob{level: m.coord.Level, texels: texels, l1Line: m.l1Line, l2Line: m.l2Line}
-		order = append(order, lineAddr)
+		first := len(a.lineTexels)
+		a.lineTexels = tex.AppendLineTexels(a.lineTexels, m.coord.Level, m.coord.X, m.coord.Y)
+		a.lines = append(a.lines, lineJob{
+			addr: la, level: m.coord.Level, start: first, end: len(a.lineTexels),
+			l1Line: m.l1Line, l2Line: m.l2Line,
+		})
 	}
 
 	// Texel Generator: one address computation per child texel.
-	children := len(singles) * foot.N
-	for _, la := range order {
-		children += len(jobs[la].texels) * foot.N
-	}
+	children := len(a.lineTexels) * foot.N
 	genCost := ceilI64(aluCost(children, a.cfg.TFIM.TexelGenALUs))
 
 	// Child Texel Consolidation + vault fetches over internal bandwidth,
-	// at the fine internal granularity (2x2 texel blocks).
-	granuleSeen := make(map[uint64]int64, 16)
-	maxMem := arrive + genCost
-	fetch := func(t *texture.Texture, level, x, y int) texture.Color {
-		a.act.PIMTexelFetches++
-		g := t.TexelAddr(level, x, y) &^ uint64(internalGranule-1)
-		if a.cfg.TFIM.Consolidate {
-			if done, ok := granuleSeen[g]; ok {
-				a.act.ConsolidatedFetches++
-				if done > maxMem {
-					maxMem = done
-				}
-				return t.Texel(level, x, y)
-			}
+	// at the fine internal granularity (2x2 texel blocks); then the
+	// Combination Unit averages children into every parent texel of each
+	// missing line and writes the line into the GPU texture caches.
+	a.granules.reset()
+	a.genDone = arrive + genCost
+	a.curMax = a.genDone
+	level := -1
+	for _, j := range a.lines {
+		if j.level != level {
+			level = j.level
+			a.childOffsets(tex, level, foot)
 		}
-		done := a.cube.InternalAccess(arrive+genCost, mem.Request{
-			Addr: g, Size: internalGranule, Class: mem.ClassTexture, Kind: mem.Read,
-		})
-		if a.cfg.TFIM.Consolidate {
-			granuleSeen[g] = done
-		}
-		if done > maxMem {
-			maxMem = done
-		}
-		return t.Texel(level, x, y)
-	}
-
-	// Combination Unit: average children into every parent texel of each
-	// missing line, then write the line into the GPU texture caches.
-	for _, la := range order {
-		j := jobs[la]
-		for _, lt := range j.texels {
-			c := texture.AverageChildren(tex, j.level, lt.X, lt.Y, foot, fetch)
-			packed := texture.Pack(c)
+		for _, lt := range a.lineTexels[j.start:j.end] {
+			packed := texture.Pack(a.combine(tex, level, lt.X, lt.Y, foot.N))
 			a.l1[unit].SetWord(j.l1Line, lt.Off, packed)
 			a.l2.SetWord(j.l2Line, lt.Off, packed)
 		}
-	}
-	// Recalculated single parents (angle mismatches).
-	for _, m := range singles {
-		c := texture.AverageChildren(tex, m.coord.Level, m.coord.X, m.coord.Y, foot, fetch)
-		packed := texture.Pack(c)
-		a.l1[unit].SetWord(m.l1Line, m.l1Off, packed)
-		a.l2.SetWord(m.l2Line, m.l2Off, packed)
 	}
 	combCost := ceilI64(aluCost(children, a.cfg.TFIM.CombineALUs))
 	a.act.PIMFilterOps += uint64(children)
 
 	// Resolve the requested parents' values from the freshly filled lines.
 	for _, m := range missing {
-		a.parentValues[m.coord] = texture.Unpack(a.l1[unit].Word(m.l1Line, m.l1Off))
+		a.parentValues[m.k] = texture.Unpack(a.l1[unit].Word(m.l1Line, m.off))
 	}
 
-	filtered := maxMem + combCost
+	filtered := a.curMax + combCost
 
-	// Response: one line-sized payload per computed line plus one texel
-	// per recalculated parent (grouped by the composing stage to look
-	// like normal bilinear fetch results), framed once per coalesced quad.
-	respPayload := len(order)*mem.LineSize + len(singles)*4
+	// Response: one line-sized payload per computed line (grouped by the
+	// composing stage to look like normal bilinear fetch results), framed
+	// once per coalesced quad.
+	respPayload := len(a.lines) * mem.LineSize
 	done := a.cube.ReturnPacketFrom(filtered, routeAddr, respPayload)
 	a.traffic.Record(mem.ClassTexture, mem.Read,
 		uint32(a.downPkg[unit].bytes(respPayload+cubeCfg.PacketHeaderBytes, respPayload)))
@@ -359,6 +358,65 @@ func (a *ATFIMPath) offload(now int64, unit int, req *gpu.TexRequest, missing []
 	a.dbgVault += filtered - arrive
 	a.dbgLinkDown += done - filtered
 	return done
+}
+
+// hasLine reports whether the offload in progress already computes the
+// memory line at addr.
+func (a *ATFIMPath) hasLine(addr uint64) bool {
+	for _, j := range a.lines {
+		if j.addr == addr {
+			return true
+		}
+	}
+	return false
+}
+
+// childOffsets fills a.offs with the footprint's child offsets at level.
+func (a *ATFIMPath) childOffsets(tex *texture.Texture, level int, foot texture.Footprint) {
+	a.offs = a.offs[:0]
+	for i := 0; i < foot.N; i++ {
+		dx, dy := foot.ChildOffset(tex, level, i)
+		a.offs = append(a.offs, childOffset{dx, dy})
+	}
+}
+
+// combine is the Combination Unit for parent texel (x, y): it fetches the
+// n children at a.offs and averages them, summing in the same order as
+// texture.AverageChildren.
+func (a *ATFIMPath) combine(tex *texture.Texture, level, x, y, n int) texture.Color {
+	if n <= 1 {
+		return a.fetchChild(tex, level, x, y)
+	}
+	var acc texture.Color
+	for _, o := range a.offs {
+		acc = acc.Add(a.fetchChild(tex, level, x+o.dx, y+o.dy))
+	}
+	return acc.Scale(1 / float32(n))
+}
+
+// fetchChild reads one child texel through the cube's internal path at
+// granule granularity. With consolidation on, a granule already fetched by
+// this offload is served by that fetch.
+func (a *ATFIMPath) fetchChild(tex *texture.Texture, level, x, y int) texture.Color {
+	a.act.PIMTexelFetches++
+	addr, c := tex.TexelAndAddr(level, x, y)
+	g := addr &^ uint64(internalGranule-1)
+	consolidate := a.cfg.TFIM.Consolidate
+	if consolidate {
+		if done, ok := a.granules.get(g); ok {
+			a.act.ConsolidatedFetches++
+			a.curMax = max(a.curMax, done)
+			return c
+		}
+	}
+	done := a.cube.InternalAccess(a.genDone, mem.Request{
+		Addr: g, Size: internalGranule, Class: mem.ClassTexture, Kind: mem.Read,
+	})
+	if consolidate {
+		a.granules.put(g, done)
+	}
+	a.curMax = max(a.curMax, done)
+	return c
 }
 
 // EndFrame implements gpu.TexturePath.
@@ -414,5 +472,4 @@ func (a *ATFIMPath) Reset() {
 	}
 	a.act = gpu.PathActivity{}
 	a.traffic = mem.Traffic{}
-	clear(a.parentValues)
 }

@@ -1,59 +1,81 @@
 #!/usr/bin/env sh
-# Runs the perf-trajectory benchmarks and writes BENCH_pr7.json: one record
-# per benchmark with ns/op, so the perf trajectory across PRs is
-# machine-readable.
+# Runs the perf-trajectory benchmarks with -benchmem and writes OUTPUT.json:
+# one pim-render/bench/v1 record per benchmark run with ns/op, B/op and
+# allocs/op, so the perf trajectory across changes is machine-readable.
 #
-# Three families:
+# Families:
+#   - Simulator layer micro-benchmarks: BenchmarkATFIMSample (one A-TFIM
+#     texture request through internal/tfim: parent probes, offload,
+#     in-memory combination, on-chip filtering), BenchmarkAverageChildren
+#     (one Combination Unit parent texel) and BenchmarkLineTexels (the
+#     16 texels of one memory line) in internal/texture.
+#   - BenchmarkRenderFrame{Baseline,ATFIM}: one uncached wolf@320x240
+#     frame per iteration, the simulator's own throughput per design.
 #   - BenchmarkSimulateShards{1,2,8}: one uncached single-frame simulation
 #     per iteration with the tile-group scan sharded across N worker
 #     goroutines. Output is byte-identical at every shard count, so
 #     ns/op(1) / ns/op(N) is the intra-frame fork/join speedup. The ratio
 #     is bounded by the host's core count (a single-core runner measures
 #     ~1x regardless of N).
-#   - BenchmarkFarmSweep{Serial,Parallel,ColdStore,WarmStore}: the PR3
-#     sweep-level numbers (farm scheduling + durable store), kept for
-#     continuity.
-#   - BenchmarkLeaseRoundTrip / BenchmarkDistFarmThroughput: the PR7
+#   - BenchmarkFarmSweep{Serial,Parallel,ColdStore,WarmStore}: the
+#     sweep-level numbers (farm scheduling + durable store).
+#   - BenchmarkLeaseRoundTrip / BenchmarkDistFarmThroughput: the
 #     distributed numbers. LeaseRoundTrip is the per-job wire-protocol
 #     floor (no-op executor); DistFarmThroughput pushes 8 distinct render
 #     jobs through a coordinator + 2 workers per iteration and also
 #     reports jobs/s.
 #
-# Usage: scripts/bench.sh [output.json]
+# BENCHTIME and COUNT override -benchtime and -count for every family.
+#
+# Usage: scripts/bench.sh OUTPUT.json
 set -eu
 
-out=${1:-BENCH_pr7.json}
+if [ $# -ne 1 ]; then
+    echo "usage: scripts/bench.sh OUTPUT.json" >&2
+    exit 2
+fi
+case $1 in
+/*) out=$1 ;;
+*) out=$PWD/$1 ;;
+esac
 cd "$(dirname "$0")/.."
 
-go test -run '^$' -bench 'BenchmarkSimulateShards[128]$' \
-    -benchtime "${BENCHTIME:-1x}" -count "${COUNT:-1}" -timeout 30m \
-    . | tee /tmp/bench_pr4.txt
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
-go test -run '^$' -bench 'BenchmarkFarmSweep(Serial|Parallel|ColdStore|WarmStore)$' \
-    -benchtime "${BENCHTIME:-1x}" -count "${COUNT:-1}" -timeout 30m \
-    ./internal/farm/ | tee -a /tmp/bench_pr4.txt
+bench() { # bench PATTERN DEFAULT_BENCHTIME PACKAGE
+    go test -run '^$' -bench "$1" -benchmem \
+        -benchtime "${BENCHTIME:-$2}" -count "${COUNT:-1}" -timeout 30m \
+        "$3" | tee -a "$tmp/bench.txt"
+}
 
-go test -run '^$' -bench 'BenchmarkLeaseRoundTrip$' \
-    -benchtime "${BENCHTIME:-100x}" -count "${COUNT:-1}" -timeout 30m \
-    ./internal/farm/dist/ | tee -a /tmp/bench_pr4.txt
-
-go test -run '^$' -bench 'BenchmarkDistFarmThroughput$' \
-    -benchtime "${BENCHTIME:-1x}" -count "${COUNT:-1}" -timeout 30m \
-    ./cmd/pimfarm/ | tee -a /tmp/bench_pr4.txt
+bench 'BenchmarkATFIMSample$' 1s ./internal/tfim/
+bench 'Benchmark(AverageChildren|LineTexels)$' 1s ./internal/texture/
+bench 'BenchmarkRenderFrame(Baseline|ATFIM)$' 3x .
+bench 'BenchmarkSimulateShards[128]$' 1x .
+bench 'BenchmarkFarmSweep(Serial|Parallel|ColdStore|WarmStore)$' 1x ./internal/farm/
+bench 'BenchmarkLeaseRoundTrip$' 100x ./internal/farm/dist/
+bench 'BenchmarkDistFarmThroughput$' 1x ./cmd/pimfarm/
 
 awk '
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
-    printf "%s{\"name\":\"%s\",\"iterations\":%s,\"ns_per_op\":%s}", sep, name, $2, $3
+    rec = sprintf("{\"name\":\"%s\",\"iterations\":%s", name, $2)
+    for (i = 3; i < NF; i += 2) {
+        if ($(i+1) == "ns/op") rec = rec sprintf(",\"ns_per_op\":%s", $i)
+        if ($(i+1) == "B/op") rec = rec sprintf(",\"bytes_per_op\":%s", $i)
+        if ($(i+1) == "allocs/op") rec = rec sprintf(",\"allocs_per_op\":%s", $i)
+    }
+    printf "%s%s}", sep, rec
     sep = ",\n  "
 }
 END { if (sep == "") exit 1 }
-' /tmp/bench_pr4.txt >/tmp/bench_pr4_rows.txt
+' "$tmp/bench.txt" >"$tmp/rows.txt"
 
 {
     printf '{\n  "schema": "pim-render/bench/v1",\n  "benchmarks": [\n  '
-    cat /tmp/bench_pr4_rows.txt
+    cat "$tmp/rows.txt"
     printf '\n  ]\n}\n'
 } >"$out"
 
