@@ -27,7 +27,7 @@ func newAdmitServer(t *testing.T, tenants []admit.Tenant, cfg admit.Config) (*ht
 	cfg.Tenants = set
 	cfg.Metrics = telem.NewRegistry()
 	ctrl := admit.New(cfg)
-	api := newServer(f, nil)
+	api := newLocalServer(t, f, nil)
 	api.enableAdmit(ctrl, 5*time.Second)
 	ts := httptest.NewServer(api)
 	t.Cleanup(func() {

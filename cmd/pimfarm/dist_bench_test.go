@@ -29,9 +29,8 @@ func BenchmarkDistFarmThroughput(b *testing.B) {
 		b.StopTimer()
 		core.ClearRunCache()
 		f := farm.New(farm.Config{Workers: 16, QueueDepth: 64})
-		api := newServer(f, nil)
 		coord := dist.NewCoordinator(dist.Config{TTL: time.Minute, Metrics: telem.NewRegistry()})
-		api.enableDist(coord)
+		api := newServer(f, nil, coord)
 		ts := httptest.NewServer(api)
 		wctx, wcancel := context.WithCancel(context.Background())
 		for w := 0; w < 2; w++ {

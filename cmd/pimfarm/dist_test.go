@@ -2,9 +2,10 @@ package main
 
 // Distributed-mode tests at the HTTP API level: a coordinator server with
 // real dist.Worker loops executing execGrant, exercising the acceptance
-// contracts — dist results byte-identical to single-node, a worker killed
-// mid-job requeues elsewhere without spending farm retries, and a
-// coordinator restart replays journaled jobs exactly once.
+// contracts — dist results byte-identical to local mode, a worker killed
+// mid-job requeues elsewhere without spending farm retries, profiles and
+// every progress stage reach the API, and a server restart replays
+// journaled jobs exactly once (in local mode too).
 
 import (
 	"context"
@@ -12,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/farm"
 	"repro/internal/farm/dist"
+	"repro/internal/obs"
 	"repro/internal/obs/telem"
 )
 
@@ -30,9 +33,8 @@ func newDistTestServer(t *testing.T, cfg dist.Config) (*httptest.Server, *server
 		cfg.Metrics = telem.NewRegistry()
 	}
 	f := farm.New(farm.Config{Workers: 4, QueueDepth: 16})
-	api := newServer(f, nil)
 	coord := dist.NewCoordinator(cfg)
-	api.enableDist(coord)
+	api := newServer(f, nil, coord)
 	ts := httptest.NewServer(api)
 	t.Cleanup(func() {
 		ts.Close()
@@ -50,25 +52,11 @@ func newDistTestServer(t *testing.T, cfg dist.Config) (*httptest.Server, *server
 // the test process, torn down with the test.
 func startTestWorker(t *testing.T, base, id string) {
 	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	w := &dist.Worker{
+	t.Cleanup(startWorker(&dist.Worker{
 		Client: &dist.Client{Base: base, Worker: id},
 		Poll:   10 * time.Millisecond,
 		Exec:   execGrant,
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = w.Run(ctx)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Error("worker did not stop")
-		}
-	})
+	}))
 }
 
 // distVarz is the /varz shape the dist tests read back.
@@ -257,19 +245,96 @@ func TestDistWorkerDeathRequeues(t *testing.T) {
 	}
 }
 
-// TestJournalReplayAcrossServerRestart: a coordinator killed with a job
+// TestDistJobProfile: a dist-mode job submitted with "profile": true
+// serves its frame-anatomy artifact — the remote worker captures it and
+// ships it back on the completion.
+func TestDistJobProfile(t *testing.T) {
+	core.ClearRunCache() // the profiled job must really simulate
+	ts, _ := newDistTestServer(t, dist.Config{TTL: time.Minute})
+	startTestWorker(t, ts.URL, "profile-worker")
+
+	jr, code := postJob(t, ts, `{"game":"doom3","width":160,"height":120,"design":"bpim","profile":true}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d", code)
+	}
+	if final := pollJob(t, ts, jr.ID); final.State != "done" {
+		t.Fatalf("job: %s (%s)", final.State, final.Error)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + jr.ID + "/profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("profile status = %d: %s", resp.StatusCode, body)
+	}
+	fp, err := obs.ReadFrameProfile(resp.Body)
+	if err != nil {
+		t.Fatalf("profile body is not a frameprofile/v1 artifact: %v", err)
+	}
+	if fp.Workload != "doom3-160x120" || fp.Design != "B-PIM" || len(fp.Frames) == 0 {
+		t.Fatalf("artifact %q/%q with %d frames", fp.Workload, fp.Design, len(fp.Frames))
+	}
+}
+
+// TestDistJobEventsReachDone: the "resolve" and "done" progress reports
+// arrive right after the last fragment group, inside the worker's
+// progress throttle interval; a stage boundary is always forwarded, so a
+// dist job's event stream still ends its progress with "done".
+func TestDistJobEventsReachDone(t *testing.T) {
+	core.ClearRunCache() // the job must really simulate to emit progress
+	ts, _ := newDistTestServer(t, dist.Config{TTL: time.Minute})
+	startTestWorker(t, ts.URL, "events-worker")
+
+	jr, code := postJob(t, ts, `{"game":"doom3","width":160,"height":120,"design":"stfim"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d", code)
+	}
+	if final := pollJob(t, ts, jr.ID); final.State != "done" {
+		t.Fatalf("job: %s (%s)", final.State, final.Error)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + jr.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stages []string
+	for _, ev := range readSSE(t, resp.Body) {
+		if ev.typ != "progress" {
+			continue
+		}
+		var p core.Progress
+		if err := json.Unmarshal([]byte(ev.data), &p); err != nil {
+			t.Fatalf("progress event %q: %v", ev.data, err)
+		}
+		stages = append(stages, string(p.Stage))
+	}
+	if !slices.Contains(stages, "resolve") || len(stages) == 0 || stages[len(stages)-1] != "done" {
+		t.Fatalf("progress stages %v, want resolve and a final done", stages)
+	}
+}
+
+// TestJournalReplayAcrossServerRestart: a server killed with a job
 // accepted but unfinished replays exactly that job on restart, a worker
-// completes it, and the settled record never replays again.
+// completes it, and the settled record never replays again — in dist
+// mode by a remote worker, in local mode by the in-process one.
 func TestJournalReplayAcrossServerRestart(t *testing.T) {
+	for _, mode := range []string{"dist", "local"} {
+		t.Run(mode, func(t *testing.T) { testJournalReplay(t, mode == "local") })
+	}
+}
+
+func testJournalReplay(t *testing.T, local bool) {
 	dir := t.TempDir()
 
 	// Incarnation 1: accept a job with no workers attached, then "crash"
 	// (stop serving without any orderly farm/journal shutdown, so no
-	// terminal record is ever written).
+	// terminal record is ever written). In both modes this is a server
+	// that died before any worker took the job.
 	f1 := farm.New(farm.Config{Workers: 2, QueueDepth: 16})
-	api1 := newServer(f1, nil)
 	coord1 := dist.NewCoordinator(dist.Config{TTL: time.Minute, Metrics: telem.NewRegistry()})
-	api1.enableDist(coord1)
+	api1 := newServer(f1, nil, coord1)
 	jn1, err := dist.OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -296,10 +361,28 @@ func TestJournalReplayAcrossServerRestart(t *testing.T) {
 	if n := jn2.Len(); n != 1 {
 		t.Fatalf("journal pending after restart = %d, want exactly 1", n)
 	}
-	ts2, api2 := newDistTestServer(t, dist.Config{TTL: time.Minute})
+	var ts2 *httptest.Server
+	var api2 *server
+	if local {
+		f2 := farm.New(farm.Config{Workers: 2, QueueDepth: 16})
+		api2 = newLocalServer(t, f2, nil)
+		ts2 = httptest.NewServer(api2)
+		t.Cleanup(func() {
+			ts2.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if err := f2.Close(ctx); err != nil {
+				t.Error(err)
+			}
+		})
+	} else {
+		ts2, api2 = newDistTestServer(t, dist.Config{TTL: time.Minute})
+	}
 	api2.journal = jn2
 	api2.replayJournal()
-	startTestWorker(t, ts2.URL, "recovery-worker")
+	if !local {
+		startTestWorker(t, ts2.URL, "recovery-worker")
+	}
 
 	// The replayed job is a fresh farm job whose origin names the journal
 	// record it will settle.

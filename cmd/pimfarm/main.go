@@ -14,10 +14,12 @@
 // SIGINT/SIGTERM drain the farm: the listener closes, queued jobs finish,
 // then the process exits.
 //
-// Distributed mode splits the farm across processes: `pimfarm -dist`
-// serves the same API but executes nothing itself — jobs are leased to
-// `pimfarm worker -coordinator URL` processes over HTTP, with a durable
-// journal replaying in-flight jobs across coordinator restarts:
+// Every job runs one way: the farm hands it to a lease coordinator, and a
+// worker leases it, simulates it and reports the result. By default the
+// server runs that worker in-process. `pimfarm -dist` starts none and
+// leases jobs to `pimfarm worker -coordinator URL` processes over HTTP
+// instead. A durable journal (-journal, in either mode) replays in-flight
+// jobs across server restarts:
 //
 //	pimfarm -dist -journal /tmp/farm -store /tmp/results &
 //	pimfarm worker -coordinator http://localhost:8080 -store /tmp/results &
@@ -64,8 +66,8 @@ func main() {
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 		version   = flag.Bool("version", false, "print version and exit")
 		distMode  = flag.Bool("dist", false, "coordinator mode: lease jobs to `pimfarm worker` processes instead of simulating in-process")
-		leaseTTL  = flag.Duration("lease-ttl", dist.DefaultTTL, "dist: lease duration; a worker silent this long loses its job back to the queue")
-		journal   = flag.String("journal", "", "dist: durable job-journal directory; queued and in-flight jobs replay after a coordinator restart")
+		leaseTTL  = flag.Duration("lease-ttl", dist.DefaultTTL, "lease duration; a worker silent this long loses its job back to the queue")
+		journal   = flag.String("journal", "", "durable job-journal directory; queued and in-flight jobs replay after a server restart")
 
 		tenants      = flag.String("tenants", "", "tenant config file (pim-render/tenants/v1 JSON: API keys, rate limits, quotas); empty admits any tenant unlimited")
 		admitSlots   = flag.Int("admit-slots", 0, "admission slots: jobs concurrently inside the farm (0 = worker pool size)")
@@ -121,8 +123,9 @@ func main() {
 		}
 		// The farm tier alone carries persistence here: it serves completed
 		// jobs from disk before the task runs and writes each computed result
-		// through exactly once (attaching the store to core.RunCached as well
-		// would just duplicate every write).
+		// through exactly once. The in-process worker therefore leaves the
+		// store off core.RunCached (attaching it there as well would just
+		// duplicate every write); remote workers attach their own.
 		log.Info("store open", "dir", st.Dir(), "entries", st.Len(), "bytes", st.Size())
 	}
 	farmWorkers := *workers
@@ -143,12 +146,13 @@ func main() {
 		EventRetention: *eventTTL,
 	})
 
-	api := newServer(f, st)
+	coord := dist.NewCoordinator(dist.Config{TTL: *leaseTTL})
+	api := newServer(f, st, coord)
 	api.log = log
 	api.pprofOn = *pprofOn
-	api.profileTTL = *profileTTL
+	api.profiles.ttl = *profileTTL
 	api.traceSample = *traceSample
-	api.traceTTL = *traceTTL
+	api.traces.ttl = *traceTTL
 
 	// Admission control always fronts submissions; without -tenants it
 	// runs with an open tenant set (any name, no rate or quota limits), so
@@ -175,17 +179,14 @@ func main() {
 	api.enableAdmit(adm, *admitTimeout)
 	log.Info("admission control", "slots", slots, "queue_depth", aq,
 		"timeout", admitTimeout.String(), "tenants", *tenants != "")
-	var coord *dist.Coordinator
+	stopLocal := func() {}
 	if *distMode {
-		coord = dist.NewCoordinator(dist.Config{TTL: *leaseTTL})
-		api.enableDist(coord)
 		log.Info("distributed mode", "lease_ttl", leaseTTL.String(),
 			"dispatch_slots", f.Workers())
+	} else {
+		stopLocal = startWorker(api.localWorker(f.Workers()))
 	}
 	if *journal != "" {
-		if !*distMode {
-			fatal(errors.New("-journal requires -dist (the journal replays jobs onto coordinator restarts)"))
-		}
 		jn, err := dist.OpenJournal(*journal)
 		if err != nil {
 			fatal(err)
@@ -222,12 +223,11 @@ func main() {
 	if err := f.Close(ctx); err != nil {
 		log.Error("forced farm shutdown", "err", err.Error())
 	}
-	if coord != nil {
-		cs := coord.Stats()
-		coord.Close()
-		log.Info("coordinator closed", "grants", cs.LeaseOps.Grants,
-			"expires", cs.LeaseOps.Expires, "requeues", cs.LeaseOps.Requeues)
-	}
+	stopLocal()
+	cs := coord.Stats()
+	coord.Close()
+	log.Info("coordinator closed", "grants", cs.LeaseOps.Grants,
+		"expires", cs.LeaseOps.Expires, "requeues", cs.LeaseOps.Requeues)
 	if api.journal != nil {
 		if err := api.journal.Close(); err != nil {
 			log.Error("journal close", "err", err.Error())

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -55,8 +56,8 @@ type jobResponse struct {
 	Result  *obs.Snapshot `json:"result,omitempty"`
 }
 
-// server is the pimfarm HTTP API over one Farm and, optionally, the
-// durable result store backing it.
+// server is the pimfarm HTTP API over one Farm, the coordinator that
+// executes its jobs and, optionally, the durable result store backing it.
 type server struct {
 	farm    *farm.Farm
 	store   *store.Store
@@ -66,12 +67,12 @@ type server struct {
 	pprofOn bool
 	reqSeq  atomic.Uint64
 
-	// coord, when set (enableDist), switches job execution to the
-	// distributed path: Run closures enqueue on the coordinator and block
-	// for a worker's outcome instead of simulating in-process. journal,
-	// when set, makes accepted jobs durable — every submission appends an
-	// enqueue record and every settled job a terminal record, so a
-	// restarted coordinator replays what was in flight.
+	// coord executes every job: Run closures enqueue on it and block for
+	// a worker's outcome — the in-process worker in local mode, remote
+	// `pimfarm worker` processes under -dist. journal, when set, makes
+	// accepted jobs durable — every submission appends an enqueue record
+	// and every settled job a terminal record, so a restarted server
+	// replays what was in flight.
 	coord   *dist.Coordinator
 	journal *dist.Journal
 
@@ -83,22 +84,16 @@ type server struct {
 	admit        *admit.Controller
 	admitTimeout time.Duration
 
-	// profiles holds captured frame-anatomy artifacts keyed by job ID
-	// (jobs submitted with "profile": true that really simulated). Entries
-	// are pruned once the farm no longer retains the job, or — when
-	// profileTTL is positive — once they outlive the TTL; pruning runs on
-	// every store and read, so the map is bounded without a janitor.
-	profiles   sync.Map // string -> profileEntry
-	profileTTL time.Duration
+	// profiles holds captured frame-anatomy artifacts (jobs submitted
+	// with "profile": true that really simulated).
+	profiles jobArtifacts[*obs.FrameProfile]
 
 	// Distributed tracing (see trace.go). traceSample is the fraction of
 	// jobs minted a sampled trace context at submission; traces retains
-	// assembled per-job timelines (same pruning discipline as profiles,
-	// bounded by traceTTL); tsum aggregates stage durations for GET
+	// assembled per-job timelines; tsum aggregates stage durations for GET
 	// /v1/traces/summary.
 	traceSample float64
-	traceTTL    time.Duration
-	traces      sync.Map // string -> traceEntry
+	traces      jobArtifacts[*dtrace.Timeline]
 	tsum        *dtrace.Summary
 
 	// suites tracks accepted suite runs (POST /v1/suites): each is a
@@ -107,27 +102,81 @@ type server struct {
 	suites suiteState
 }
 
-// profileEntry is one retained frame-anatomy artifact plus its capture
-// time (the TTL clock).
-type profileEntry struct {
-	fp *obs.FrameProfile
+// jobArtifacts retains one artifact per job — a frame profile or a trace
+// timeline — with its capture time. An entry is pruned once the farm no
+// longer retains its job, or, when ttl is positive, once its job is
+// terminal and the entry older than ttl, so long-retained finished jobs
+// stop pinning large documents. Pruning runs on every store and load,
+// which bounds the map without a background janitor.
+type jobArtifacts[T any] struct {
+	farm *farm.Farm
+	ttl  time.Duration
+	m    sync.Map // job ID -> artifact[T]
+}
+
+type artifact[T any] struct {
+	v  T
 	at time.Time
 }
 
-// newServer builds the API handler (httptest mounts it directly); st may be
-// nil when the farm runs without persistence. The logger defaults to
-// discard and the metrics registry to the process default; main overrides
-// them via the exported fields before serving.
-func newServer(f *farm.Farm, st *store.Store) *server {
+func (a *jobArtifacts[T]) store(id string, v T) {
+	a.prune()
+	a.m.Store(id, artifact[T]{v: v, at: time.Now()})
+}
+
+func (a *jobArtifacts[T]) load(id string) (T, bool) {
+	a.prune()
+	e, ok := a.m.Load(id)
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	return e.(artifact[T]).v, true
+}
+
+func (a *jobArtifacts[T]) prune() {
+	live := map[string]bool{}
+	for _, j := range a.farm.Jobs() {
+		live[j.ID()] = true
+	}
+	var cut time.Time
+	if a.ttl > 0 {
+		cut = time.Now().Add(-a.ttl)
+	}
+	a.m.Range(func(k, v any) bool {
+		id := k.(string)
+		if !live[id] {
+			a.m.Delete(k)
+			return true
+		}
+		if e := v.(artifact[T]); !cut.IsZero() && e.at.Before(cut) {
+			if j, ok := a.farm.Job(id); ok && j.State().Terminal() {
+				a.m.Delete(k)
+			}
+		}
+		return true
+	})
+}
+
+// newServer builds the API handler (httptest mounts it directly) over
+// farm f, whose jobs coord executes; st may be nil when the farm runs
+// without persistence. The lease-protocol and worker-introspection
+// endpoints are mounted too, so remote workers can always attach. The
+// logger defaults to discard and the metrics registry to the process
+// default; main overrides them via the exported fields before serving.
+func newServer(f *farm.Farm, st *store.Store, coord *dist.Coordinator) *server {
 	s := &server{
 		farm:        f,
 		store:       st,
+		coord:       coord,
 		mux:         http.NewServeMux(),
 		log:         slogx.Discard(),
 		metrics:     telem.Default(),
 		traceSample: 1,
 		tsum:        dtrace.NewSummary(0, 0),
 	}
+	s.profiles.farm = f
+	s.traces.farm = f
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
@@ -145,6 +194,7 @@ func newServer(f *farm.Farm, st *store.Store) *server {
 	s.mux.HandleFunc("GET /varz", s.handleVarz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("/debug/pprof/", s.handlePprof)
+	coord.Routes(s.mux)
 	// Method-less fallbacks: a known path with the wrong verb answers a JSON
 	// 405 with Allow, and anything else a JSON 404 — clients always get a
 	// machine-readable error body.
@@ -161,8 +211,21 @@ func newServer(f *farm.Farm, st *store.Store) *server {
 	s.mux.HandleFunc("/healthz", methodNotAllowed("GET"))
 	s.mux.HandleFunc("/varz", methodNotAllowed("GET"))
 	s.mux.HandleFunc("/metrics", methodNotAllowed("GET"))
+	s.mux.HandleFunc("/v1/leases", methodNotAllowed("POST"))
+	s.mux.HandleFunc("/v1/leases/{id}/renew", methodNotAllowed("POST"))
+	s.mux.HandleFunc("/v1/leases/{id}/progress", methodNotAllowed("POST"))
+	s.mux.HandleFunc("/v1/leases/{id}/complete", methodNotAllowed("POST"))
+	s.mux.HandleFunc("/v1/workers", methodNotAllowed("GET"))
 	s.mux.HandleFunc("/", handleUnknown)
 	return s
+}
+
+// localWorker builds the in-process worker of local mode: slots lease
+// loops on the coordinator's in-process transport, executing through
+// execGrant exactly as a remote worker does. It leaves the result store
+// to the farm tier, which already writes every computed result through.
+func (s *server) localWorker(slots int) *dist.Worker {
+	return &dist.Worker{Client: s.coord.Local("in-process"), Slots: slots, Log: s.log, Exec: execGrant}
 }
 
 // enableAdmit puts the admission controller in front of job submission.
@@ -181,20 +244,6 @@ func (s *server) enableAdmit(c *admit.Controller, timeout time.Duration) {
 // DefaultAdmitTimeout bounds how long a submission may wait in the
 // admission queue before it is shed with 429.
 const DefaultAdmitTimeout = 30 * time.Second
-
-// enableDist attaches the distributed coordinator: the lease-protocol and
-// worker-introspection endpoints are mounted on the server mux (inheriting
-// the X-Request-ID / request-log middleware) and every subsequently built
-// job dispatches to remote workers instead of simulating in-process.
-func (s *server) enableDist(c *dist.Coordinator) {
-	s.coord = c
-	c.Routes(s.mux)
-	s.mux.HandleFunc("/v1/leases", methodNotAllowed("POST"))
-	s.mux.HandleFunc("/v1/leases/{id}/renew", methodNotAllowed("POST"))
-	s.mux.HandleFunc("/v1/leases/{id}/progress", methodNotAllowed("POST"))
-	s.mux.HandleFunc("/v1/leases/{id}/complete", methodNotAllowed("POST"))
-	s.mux.HandleFunc("/v1/workers", methodNotAllowed("GET"))
-}
 
 // reqIDKey carries the request ID in the request context so error bodies
 // (httpError) can echo it without replumbing every handler signature.
@@ -402,11 +451,10 @@ func writeOverload(w http.ResponseWriter, r *http.Request, err error) {
 }
 
 // buildTask resolves the spec through the canonical Spec → Options/
-// CacheKey mapping and assembles the farm task. The Run closure either
-// simulates in-process (single-node mode) or dispatches to the
-// distributed coordinator (dist mode); everything else about the job —
-// dedup key, SSE lifecycle, retry budget, cache tiers — is identical in
-// both modes.
+// CacheKey mapping and assembles the farm task, whose Run closure
+// dispatches the job to a worker through the coordinator. The farm keeps
+// everything else about the job: dedup key, SSE lifecycle, retry budget
+// and cache tiers.
 func (s *server) buildTask(req *suite.Spec, origin string) (farm.Task, error) {
 	rv, err := req.Resolve()
 	if err != nil {
@@ -425,113 +473,40 @@ func (s *server) buildTask(req *suite.Spec, origin string) (farm.Task, error) {
 	if tc := dtrace.Mint(origin, s.traceSample); tc.Sampled {
 		t.Trace = tc.String()
 	}
-	if s.coord != nil {
-		t.Run = s.distRun(req, t.Key, t.Label)
-	} else {
-		t.Run = s.localRun(req, rv)
-	}
+	t.Run = s.dispatch(req, t.Key, t.Label)
 	return t, nil
 }
 
-// localRun executes the job in-process through the tiered cache path.
-func (s *server) localRun(req *suite.Spec, rv suite.Resolved) func(context.Context) (any, error) {
-	return func(runCtx context.Context) (any, error) {
-		// The job's own context: canceled by DELETE /v1/jobs/{id},
-		// by a waiting client disconnecting, or on forced shutdown.
-		// Simulation progress is published onto the job's event stream
-		// (GET /v1/jobs/{id}/events); Progress is runtime-only and does
-		// not affect cache keys or stored results.
-		ropts := rv.Options
-		var fp *obs.FrameProfile
-		j, hasJob := farm.JobFromContext(runCtx)
-		// Sampled jobs record "worker"-side spans here too — in local mode
-		// the serving process is the worker, on the same clock, so the
-		// assembled timeline has zero skew and no wire spans.
-		var rec *dtrace.Recorder
-		var stages *dtrace.StageTracker
-		if hasJob {
-			if tc, ok := dtrace.Parse(j.Trace()); ok && tc.Sampled {
-				rec = dtrace.NewRecorder(tc, 0)
-				stages = &dtrace.StageTracker{}
-			}
-		}
-		if hasJob {
-			ropts.Progress = func(p core.Progress) {
-				j.Publish("progress", p)
-				stages.Observe(p.Frame, string(p.Stage), time.Now())
-			}
-		}
-		if req.Profile {
-			// Frame-anatomy capture (GET /v1/jobs/{id}/profile).
-			// Runtime-only, so it is filled only when this job really
-			// simulates: a memory/store hit or a singleflight twin
-			// leaves it empty and the endpoint answers 404.
-			fp = &obs.FrameProfile{}
-			ropts.Profile = fp
-		}
-		runStart := time.Now()
-		res, err := core.RunCachedContext(runCtx, rv.Workload, ropts)
-		if rec != nil {
-			end := time.Now()
-			recordRunSpans(rec, stages, runStart, end, err)
-			s.recordTrace(dtrace.Assembly{
-				Context: rec.Context(), JobID: j.ID(), Label: j.Label(),
-				Tenant: j.Tenant(), Class: j.Class(),
-				Coordinator: coordSpans(j, runStart, end),
-				Worker: &dtrace.WorkerReport{
-					Context: j.Trace(), Worker: "local",
-					Spans: rec.Spans(), Dropped: rec.Dropped(),
-				},
-			})
-		}
-		if err != nil {
-			return nil, err
-		}
-		if fp != nil && hasJob && len(fp.Frames) > 0 {
-			s.storeProfile(j.ID(), fp)
-		}
-		return res, nil
-	}
-}
-
-// distRun dispatches the job to a remote worker through the coordinator
-// and blocks until a worker delivers the outcome. Worker progress
-// documents are republished onto the job's SSE stream, so GET
-// /v1/jobs/{id}/events behaves identically to single-node mode. Lease
+// dispatch hands the job to a worker through the coordinator and blocks
+// until a worker delivers the outcome. Worker progress documents are
+// republished onto the job's SSE stream (GET /v1/jobs/{id}/events), and a
+// captured frame profile is kept for GET /v1/jobs/{id}/profile. Lease
 // expiries (worker crashed or stalled) requeue inside the coordinator
 // without returning from Run, so the farm's retry budget is spent only on
-// genuine execution errors. Canceling the job abandons the dispatch,
-// which invalidates any outstanding lease — the worker's next heartbeat
-// learns the work is dead and aborts. Frame-anatomy capture ("profile":
-// true) is a no-op in dist mode: profiles are runtime artifacts of the
-// process that simulates, which is the worker, not the coordinator.
-func (s *server) distRun(req *suite.Spec, key, label string) func(context.Context) (any, error) {
+// genuine execution errors. The job's context is canceled by DELETE
+// /v1/jobs/{id}, by a waiting client disconnecting, or on forced
+// shutdown; canceling abandons the dispatch, which invalidates any
+// outstanding lease so the worker stops.
+func (s *server) dispatch(req *suite.Spec, key, label string) func(context.Context) (any, error) {
 	return func(runCtx context.Context) (any, error) {
 		spec, err := json.Marshal(req)
 		if err != nil {
 			return nil, fmt.Errorf("dist: encode spec: %w", err)
 		}
-		var onProgress func(json.RawMessage)
-		var class, trace, origin string
-		j, hasJob := farm.JobFromContext(runCtx)
-		if hasJob {
-			onProgress = func(raw json.RawMessage) { j.Publish("progress", raw) }
-			class = j.Class()
-			trace = j.Trace()
-			origin = j.Origin()
-		}
+		j, _ := farm.JobFromContext(runCtx) // the farm runs every task with its job in context
 		enqStart := time.Now()
 		id, ch, err := s.coord.Enqueue(dist.Job{
-			Key: key, Label: label, Class: class, Spec: spec,
-			Origin: origin, Trace: trace, OnProgress: onProgress,
+			Key: key, Label: label, Class: j.Class(), Spec: spec,
+			Origin: j.Origin(), Trace: j.Trace(),
+			OnProgress: func(raw json.RawMessage) { j.Publish("progress", raw) },
 		})
 		if err != nil {
 			return nil, err
 		}
 		select {
 		case o := <-ch:
-			if tc, ok := dtrace.Parse(trace); ok && tc.Sampled {
-				s.recordDistTrace(j, tc, &o, enqStart)
+			if tc, ok := dtrace.Parse(j.Trace()); ok && tc.Sampled {
+				s.recordTrace(j, tc, &o, enqStart)
 			}
 			if o.Err != "" {
 				return nil, fmt.Errorf("dist: worker %s: %s", o.Worker, o.Err)
@@ -539,6 +514,15 @@ func (s *server) distRun(req *suite.Spec, key, label string) func(context.Contex
 			res, err := core.DecodeResultPayload(key, o.Payload)
 			if err != nil {
 				return nil, fmt.Errorf("dist: worker %s result: %w", o.Worker, err)
+			}
+			if len(o.Profile) > 0 {
+				// The profile is a side artifact: a bad one is logged and
+				// dropped, never allowed to fail a good result.
+				if fp, err := obs.ReadFrameProfile(bytes.NewReader(o.Profile)); err != nil {
+					s.log.Error("worker profile", "job", j.ID(), "worker", o.Worker, "err", err.Error())
+				} else {
+					s.profiles.store(j.ID(), fp)
+				}
 			}
 			return res, nil
 		case <-runCtx.Done():
@@ -676,7 +660,7 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExperiments is GET /v1/experiments: the paper's figure/table
-// catalog in presentation order (the names RunExperiment accepts).
+// catalog in presentation order (the names Registry().Run accepts).
 func (s *server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"experiments": repro.Registry().Names()})
 }
@@ -696,42 +680,6 @@ func (s *server) writeJob(w http.ResponseWriter, status int, j *farm.Job) {
 	writeJSON(w, status, resp)
 }
 
-// storeProfile records a finished job's frame-anatomy artifact and prunes
-// stale entries (see pruneProfiles).
-func (s *server) storeProfile(id string, fp *obs.FrameProfile) {
-	s.pruneProfiles()
-	s.profiles.Store(id, profileEntry{fp: fp, at: time.Now()})
-}
-
-// pruneProfiles drops retained profile artifacts for jobs the farm has
-// since evicted and — when a profile TTL is configured — artifacts of
-// terminal jobs older than the TTL, so long-retained finished jobs stop
-// pinning their (large) frame-anatomy documents. Called from every store
-// and read, which bounds the map without a background janitor.
-func (s *server) pruneProfiles() {
-	live := map[string]bool{}
-	for _, j := range s.farm.Jobs() {
-		live[j.ID()] = true
-	}
-	var cut time.Time
-	if s.profileTTL > 0 {
-		cut = time.Now().Add(-s.profileTTL)
-	}
-	s.profiles.Range(func(k, v any) bool {
-		id := k.(string)
-		if !live[id] {
-			s.profiles.Delete(k)
-			return true
-		}
-		if e := v.(profileEntry); !cut.IsZero() && e.at.Before(cut) {
-			if j, ok := s.farm.Job(id); ok && j.State().Terminal() {
-				s.profiles.Delete(k)
-			}
-		}
-		return true
-	})
-}
-
 // handleProfile is GET /v1/jobs/{id}/profile: the job's captured
 // pim-render/frameprofile/v1 artifact. 404 when the job is unknown, was
 // not submitted with "profile": true, is not finished, or was served from
@@ -742,14 +690,13 @@ func (s *server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
-	s.pruneProfiles()
-	v, ok := s.profiles.Load(id)
+	fp, ok := s.profiles.load(id)
 	if !ok {
 		httpError(w, r, http.StatusNotFound, fmt.Errorf(
 			"no profile for job %s (submit with \"profile\": true; profiles are captured only when the job simulates rather than hitting a cache tier, and expire after the server's profile TTL)", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, v.(profileEntry).fp)
+	writeJSON(w, http.StatusOK, fp)
 }
 
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -766,22 +713,19 @@ func (s *server) handleVarz(w http.ResponseWriter, r *http.Request) {
 		// Dist is the coordinator view (queue, lease ops, per-worker
 		// liveness); the key cannot be "workers" because farm.Counters
 		// already publishes its pool size there.
-		Dist *dist.Stats `json:"dist,omitempty"`
+		Dist dist.Stats `json:"dist"`
 		// Admit is the admission-control view: free slots, per-class queue
 		// depths and waiters, and per-tenant in-flight holds.
 		Admit *admit.Stats `json:"admit,omitempty"`
 	}{
 		Counters: s.farm.Counters(),
+		Dist:     s.coord.Stats(),
 		RunCache: core.RunCacheCounters(),
 		BW:       s.latestBWHistograms(),
 	}
 	if s.store != nil {
 		c := s.store.Counters()
 		resp.Store = &c
-	}
-	if s.coord != nil {
-		st := s.coord.Stats()
-		resp.Dist = &st
 	}
 	if s.admit != nil {
 		st := s.admit.Stats()

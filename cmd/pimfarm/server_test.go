@@ -13,14 +13,16 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/farm"
+	"repro/internal/farm/dist"
 	"repro/internal/obs"
+	"repro/internal/obs/telem"
 	"repro/internal/store"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *farm.Farm) {
 	t.Helper()
 	f := farm.New(farm.Config{Workers: 2, QueueDepth: 16})
-	ts := httptest.NewServer(newServer(f, nil))
+	ts := httptest.NewServer(newLocalServer(t, f, nil))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -30,6 +32,22 @@ func newTestServer(t *testing.T) (*httptest.Server, *farm.Farm) {
 		}
 	})
 	return ts, f
+}
+
+// newLocalServer builds a local-mode API server over f: a coordinator
+// with a private metrics registry plus the in-process worker, both
+// stopped when the test ends (after any farm shutdown the test registers
+// later, so draining jobs still have their worker).
+func newLocalServer(t *testing.T, f *farm.Farm, st *store.Store) *server {
+	t.Helper()
+	coord := dist.NewCoordinator(dist.Config{Metrics: telem.NewRegistry()})
+	api := newServer(f, st, coord)
+	stop := startWorker(api.localWorker(f.Workers()))
+	t.Cleanup(func() {
+		stop()
+		coord.Close()
+	})
+	return api
 }
 
 func postJob(t *testing.T, ts *httptest.Server, body string) (jobResponse, int) {
@@ -293,7 +311,7 @@ func TestStoreSurvivesRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := farm.New(farm.Config{Workers: 2, QueueDepth: 16, Tier: core.StoreTier(st)})
-		ts := httptest.NewServer(newServer(f, st))
+		ts := httptest.NewServer(newLocalServer(t, f, st))
 		defer func() {
 			ts.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -371,7 +389,7 @@ func TestJobCancel(t *testing.T) {
 	// One worker: the first job occupies it, so the second stays queued
 	// and its cancellation is deterministic.
 	f := farm.New(farm.Config{Workers: 1, QueueDepth: 16})
-	ts := httptest.NewServer(newServer(f, nil))
+	ts := httptest.NewServer(newLocalServer(t, f, nil))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -439,7 +457,7 @@ func TestJobCancel(t *testing.T) {
 // the abandoned job so the farm records it canceled.
 func TestSubmitWaitAndDisconnect(t *testing.T) {
 	f := farm.New(farm.Config{Workers: 1, QueueDepth: 16})
-	ts := httptest.NewServer(newServer(f, nil))
+	ts := httptest.NewServer(newLocalServer(t, f, nil))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -531,5 +549,118 @@ func TestParseDesign(t *testing.T) {
 	// Sanity: label formatting used in Submit.
 	if got := fmt.Sprintf("%s@%dx%d", "doom3", 320, 240); got != "doom3@320x240" {
 		t.Fatal(got)
+	}
+}
+
+// startLocalServer is newLocalServer with a hand-built in-process worker,
+// for tests that adjust it before it starts.
+func startLocalServer(t *testing.T, f *farm.Farm, adjust func(*dist.Worker)) *httptest.Server {
+	t.Helper()
+	coord := dist.NewCoordinator(dist.Config{Metrics: telem.NewRegistry()})
+	api := newServer(f, nil, coord)
+	w := api.localWorker(f.Workers())
+	adjust(w)
+	stop := startWorker(w)
+	ts := httptest.NewServer(api)
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := f.Close(ctx); err != nil {
+			t.Error(err)
+		}
+		stop()
+		coord.Close()
+	})
+	return ts
+}
+
+// TestLocalWorkerTakesJobsWithoutPolling: the in-process worker waits on
+// the coordinator's queue instead of polling it, so with its poll interval
+// at an hour an idle worker still takes a new job at once.
+func TestLocalWorkerTakesJobsWithoutPolling(t *testing.T) {
+	ts := startLocalServer(t, farm.New(farm.Config{Workers: 1, QueueDepth: 4}),
+		func(w *dist.Worker) { w.Poll = time.Hour })
+
+	// Let the worker find the queue empty before the job arrives.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if v := getVarz(t, ts); v.Dist != nil && len(v.Dist.Workers) == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("in-process worker never asked for work")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/jobs?wait=true",
+		strings.NewReader(`{"game":"doom3","width":160,"height":120,"design":"baseline"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatalf("job did not complete: %v", err)
+	}
+	var jr jobResponse
+	err = json.NewDecoder(resp.Body).Decode(&jr)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || jr.State != "done" {
+		t.Fatalf("wait=true status = %d state = %q (%s)", resp.StatusCode, jr.State, jr.Error)
+	}
+}
+
+// TestLocalCancelStopsExecution: DELETE of a running local job cancels the
+// in-process worker's execution context at once, not at its next
+// heartbeat.
+func TestLocalCancelStopsExecution(t *testing.T) {
+	started, canceled := make(chan struct{}), make(chan struct{})
+	ts := startLocalServer(t, farm.New(farm.Config{Workers: 1, QueueDepth: 4}),
+		func(w *dist.Worker) {
+			w.Exec = func(ctx context.Context, g *dist.Grant, progress func(any)) ([]byte, []byte, error) {
+				close(started)
+				go func() {
+					<-ctx.Done()
+					close(canceled)
+				}()
+				return execGrant(ctx, g, progress)
+			}
+		})
+
+	// Eight frames keep the job running well past the DELETE.
+	jr, code := postJob(t, ts, `{"game":"doom3","width":320,"height":240,"design":"atfim","frames":8}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST status = %d", code)
+	}
+	select {
+	case <-started:
+	case <-time.After(time.Minute):
+		t.Fatal("the in-process worker never started the job")
+	}
+	deadline := time.Now().Add(time.Second)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+jr.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE status = %d, want 200", resp.StatusCode)
+	}
+	select {
+	case <-canceled:
+	case <-time.After(time.Until(deadline)):
+		t.Fatal("execution context still live 1 s after DELETE")
+	}
+	if final := pollJob(t, ts, jr.ID); final.State != "canceled" {
+		t.Fatalf("job state = %s, want canceled", final.State)
 	}
 }

@@ -357,7 +357,7 @@ func (s *server) handleSuiteEvents(w http.ResponseWriter, r *http.Request) {
 // jobs the farm no longer retains — the run's information is gone from
 // every other surface at that point. Called on every suite store and
 // list, which bounds the map without a background janitor (mirroring
-// pruneProfiles).
+// jobArtifacts).
 func (s *server) pruneSuites() {
 	s.suites.runs.Range(func(k, v any) bool {
 		run := v.(*suiteRun)

@@ -160,7 +160,7 @@ func TestJobEventsCancel(t *testing.T) {
 	// One worker: the blocker occupies it so the watched job stays queued
 	// until canceled.
 	f := farm.New(farm.Config{Workers: 1, QueueDepth: 16})
-	ts := httptest.NewServer(newServer(f, nil))
+	ts := httptest.NewServer(newLocalServer(t, f, nil))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -360,7 +360,7 @@ func TestVarzTelemetryBlocks(t *testing.T) {
 // TestPprofGate: the pprof subtree answers 404 unless enabled.
 func TestPprofGate(t *testing.T) {
 	f := farm.New(farm.Config{Workers: 1, QueueDepth: 4})
-	s := newServer(f, nil)
+	s := newLocalServer(t, f, nil)
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()

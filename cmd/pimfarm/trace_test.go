@@ -113,7 +113,44 @@ func TestDistTraceEndToEnd(t *testing.T) {
 	if doc.JobID != jr.ID || doc.Worker != "trace-worker" {
 		t.Fatalf("timeline identity: job=%q worker=%q", doc.JobID, doc.Worker)
 	}
+	checkTraceShape(t, doc)
 
+	// The aggregate view saw this job's stage durations.
+	resp, err := http.Get(ts.URL + "/v1/traces/summary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum struct {
+		Schema  string                                      `json:"schema"`
+		Jobs    uint64                                      `json:"jobs"`
+		ByClass map[string]map[string]dtrace.StageQuantiles `json:"by_class"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&sum)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Schema != dtrace.SummarySchema || sum.Jobs < 1 {
+		t.Fatalf("summary = schema %q jobs %d", sum.Schema, sum.Jobs)
+	}
+	foundRun := false
+	for _, stages := range sum.ByClass {
+		if q, ok := stages["run"]; ok && q.Count >= 1 {
+			foundRun = true
+		}
+	}
+	if !foundRun {
+		t.Fatalf("summary has no run-stage quantiles: %+v", sum.ByClass)
+	}
+}
+
+// checkTraceShape asserts the one timeline shape every executed job has:
+// the coordinator's admit/queue/lease and wire spans on pid 1, the
+// worker's resolve/tiers/run/encode and simulate-stage spans on pid 2, and
+// after skew correction the worker's run inside the lease window inside
+// the job root.
+func checkTraceShape(t *testing.T, doc traceDoc) {
+	t.Helper()
 	idx := eventIndex(t, doc)
 	for _, name := range []string{"job", "admit", "farm/queue", "dist/queue",
 		"dist/lease", "wire/grant", "wire/complete"} {
@@ -157,34 +194,6 @@ func TestDistTraceEndToEnd(t *testing.T) {
 	if lease.ts < job.ts || lease.end > job.end {
 		t.Fatalf("lease [%d,%d] escapes job [%d,%d]", lease.ts, lease.end, job.ts, job.end)
 	}
-
-	// The aggregate view saw this job's stage durations.
-	resp, err := http.Get(ts.URL + "/v1/traces/summary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum struct {
-		Schema  string                                      `json:"schema"`
-		Jobs    uint64                                      `json:"jobs"`
-		ByClass map[string]map[string]dtrace.StageQuantiles `json:"by_class"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&sum)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Schema != dtrace.SummarySchema || sum.Jobs < 1 {
-		t.Fatalf("summary = schema %q jobs %d", sum.Schema, sum.Jobs)
-	}
-	foundRun := false
-	for _, stages := range sum.ByClass {
-		if q, ok := stages["run"]; ok && q.Count >= 1 {
-			foundRun = true
-		}
-	}
-	if !foundRun {
-		t.Fatalf("summary has no run-stage quantiles: %+v", sum.ByClass)
-	}
 }
 
 func spanNames(doc traceDoc) []string {
@@ -197,9 +206,9 @@ func spanNames(doc traceDoc) []string {
 	return names
 }
 
-// TestLocalTraceTimeline: single-node mode records the same timeline
-// shape — coordinator spans plus "local" worker-track spans — with zero
-// skew (one process, one clock) and no wire spans.
+// TestLocalTraceTimeline: local mode records the same timeline shape as
+// dist mode — its in-process worker reports spans through the lease
+// protocol like a remote one, wire spans included.
 func TestLocalTraceTimeline(t *testing.T) {
 	core.ClearRunCache()
 	ts, _ := newTestServer(t)
@@ -216,18 +225,10 @@ func TestLocalTraceTimeline(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET trace = %d", code)
 	}
-	if doc.Worker != "local" || doc.SkewUS != 0 {
-		t.Fatalf("local timeline: worker=%q skew=%d", doc.Worker, doc.SkewUS)
+	if doc.JobID != jr.ID || doc.Worker != "in-process" {
+		t.Fatalf("timeline identity: job=%q worker=%q", doc.JobID, doc.Worker)
 	}
-	idx := eventIndex(t, doc)
-	for _, name := range []string{"job", "admit", "farm/queue", "run"} {
-		if _, ok := idx[name]; !ok {
-			t.Fatalf("missing span %q (have %v)", name, spanNames(doc))
-		}
-	}
-	if _, ok := idx["wire/grant"]; ok {
-		t.Fatal("local timeline has a wire span")
-	}
+	checkTraceShape(t, doc)
 }
 
 // TestTraceSamplingOff: with -trace-sample 0, jobs carry no trace context
@@ -235,7 +236,7 @@ func TestLocalTraceTimeline(t *testing.T) {
 // (by construction) zero spans recorded anywhere.
 func TestTraceSamplingOff(t *testing.T) {
 	f := farm.New(farm.Config{Workers: 2, QueueDepth: 16})
-	api := newServer(f, nil)
+	api := newLocalServer(t, f, nil)
 	api.traceSample = 0
 	ts := httptest.NewServer(api)
 	t.Cleanup(func() {
@@ -268,7 +269,7 @@ func TestTraceSamplingOff(t *testing.T) {
 // roots — a replayed job's timeline never aliases its ancestor's.
 func TestReplayMintsFreshTraceRoot(t *testing.T) {
 	f := farm.New(farm.Config{Workers: 1, QueueDepth: 4})
-	api := newServer(f, nil)
+	api := newLocalServer(t, f, nil)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()

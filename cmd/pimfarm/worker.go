@@ -1,8 +1,8 @@
 package main
 
 // pimfarm worker: the pull side of the distributed farm. A worker process
-// polls the coordinator for leases, simulates each granted job through the
-// same tiered cache path the single-node server uses (memory → shared
+// polls the coordinator for leases, simulates each granted job with the
+// same execGrant local mode's in-process worker runs (memory → shared
 // store → compute), and streams progress and the encoded result back over
 // HTTP. Heartbeats renew the lease while the simulation runs; if the
 // coordinator declares the lease gone (job canceled, or this worker was
@@ -95,7 +95,24 @@ func workerMain(args []string) {
 	log.Info("worker stopped", "id", *id)
 }
 
-// execGrant simulates one leased job: the grant spec is the canonical
+// startWorker runs w until the returned stop function is called; stop
+// returns once every lease loop has exited.
+func startWorker(w *dist.Worker) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = w.Run(ctx)
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
+}
+
+// execGrant simulates one leased job — the one place a spec becomes a
+// core.RunCachedContext call, for remote workers and for local mode's
+// in-process worker alike. The grant spec is the canonical
 // pim-render/spec/v1 document (suite.Spec) the coordinator accepted, the
 // result payload the pim-render/result/v1 document the coordinator
 // decodes. Decoding is lenient (unknown fields ignored) so a slightly
@@ -104,27 +121,31 @@ func workerMain(args []string) {
 // coordinator used, and the worker refuses a grant whose spec keys
 // differently (simulator version skew). Simulation progress flows through
 // the progress callback, which the coordinator republishes onto the job's
-// SSE stream.
+// SSE stream. A spec with "profile": true also returns its
+// pim-render/frameprofile/v1 document — when the job really simulated;
+// a cache hit has no frame anatomy to report.
 //
 // When the grant carried a sampled trace context, dist.Worker put a span
-// recorder on ctx: the resolve/tiers/run/simulate-stage spans recorded
-// here ship back to the coordinator inside the completion request and
-// become the worker half of GET /v1/jobs/{id}/trace. Recording is
+// recorder on ctx: the resolve/tiers/run/simulate-stage/encode spans
+// recorded here ship back to the coordinator inside the completion
+// request and become the worker half of GET /v1/jobs/{id}/trace. The
+// "tiers" span is the cache lookup — everything before the first
+// progress callback, or the whole run on a warm hit. Recording is
 // observational-only — it never touches the cache key or the result.
-func execGrant(ctx context.Context, g *dist.Grant, progress func(any)) ([]byte, error) {
+func execGrant(ctx context.Context, g *dist.Grant, progress func(any)) (payload, profile []byte, err error) {
 	rec := dtrace.RecorderFrom(ctx)
 	resolveStart := time.Now()
 	var req suite.Spec
 	if err := json.Unmarshal(g.Spec, &req); err != nil {
-		return nil, fmt.Errorf("decode spec: %w", err)
+		return nil, nil, fmt.Errorf("decode spec: %w", err)
 	}
 	rv, err := req.Resolve()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rec.Span("worker", "resolve", resolveStart, time.Now(), nil)
 	if rv.Key != g.Key {
-		return nil, fmt.Errorf("spec keys to %q but lease granted %q (simulator version skew?)", rv.Key, g.Key)
+		return nil, nil, fmt.Errorf("spec keys to %q but lease granted %q (simulator version skew?)", rv.Key, g.Key)
 	}
 	opts := rv.Options
 	var stages *dtrace.StageTracker
@@ -135,18 +156,39 @@ func execGrant(ctx context.Context, g *dist.Grant, progress func(any)) ([]byte, 
 		stages.Observe(p.Frame, string(p.Stage), time.Now())
 		progress(p)
 	}
+	var fp *obs.FrameProfile
+	if req.Profile {
+		fp = &obs.FrameProfile{}
+		opts.Profile = fp
+	}
 	start := time.Now()
 	res, err := core.RunCachedContext(ctx, rv.Workload, opts)
 	if rec != nil {
-		recordRunSpans(rec, stages, start, time.Now(), err)
+		end := time.Now()
+		var attrs map[string]string
+		if err != nil {
+			attrs = map[string]string{"error": err.Error()}
+		}
+		rec.Span("worker", "run", start, end, attrs)
+		if first, ok := stages.FirstSeen(); ok {
+			rec.Span("worker", "tiers", start, first, nil)
+		} else if err == nil {
+			rec.Span("worker", "tiers", start, end, map[string]string{"hit": "true"})
+		}
+		stages.Flush(rec, "simulate")
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	slogx.From(ctx).Debug("job simulated", "job", g.Job, "key", g.Key,
 		"dur", time.Since(start).Round(time.Millisecond).String())
+	if fp != nil && len(fp.Frames) > 0 {
+		if profile, err = json.Marshal(fp); err != nil {
+			return nil, nil, fmt.Errorf("encode profile: %w", err)
+		}
+	}
 	encStart := time.Now()
-	payload, err := core.EncodeResultPayload(res)
+	payload, err = core.EncodeResultPayload(res)
 	rec.Span("worker", "encode", encStart, time.Now(), nil)
-	return payload, err
+	return payload, profile, err
 }

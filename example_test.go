@@ -16,11 +16,12 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := repro.Simulate(wl, repro.Options{Design: repro.Baseline})
+	ctx := context.Background()
+	base, err := repro.SimulateContext(ctx, wl, repro.WithDesign(repro.Baseline))
 	if err != nil {
 		log.Fatal(err)
 	}
-	atfim, err := repro.Simulate(wl, repro.Options{Design: repro.ATFIM})
+	atfim, err := repro.SimulateContext(ctx, wl, repro.WithDesign(repro.ATFIM))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,14 +31,13 @@ func Example() {
 
 // Sweeping the Section VII-D camera-angle thresholds to choose an
 // operating point on the performance-quality curve.
-func ExampleSimulate_angleThreshold() {
+func ExampleSimulateContext_angleThreshold() {
 	wl, _ := repro.Workload("hl2", 640, 480)
-	base, _ := repro.Simulate(wl, repro.Options{Design: repro.Baseline})
+	ctx := context.Background()
+	base, _ := repro.SimulateContext(ctx, wl, repro.WithDesign(repro.Baseline))
 	for _, th := range []float32{repro.Angle001Pi, repro.Angle005Pi} {
-		res, err := repro.Simulate(wl, repro.Options{
-			Design:         repro.ATFIM,
-			AngleThreshold: th,
-		})
+		res, err := repro.SimulateContext(ctx, wl,
+			repro.WithDesign(repro.ATFIM), repro.WithAngleThreshold(th))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func ExampleRegistry() {
 // Writing a rendered frame to disk for inspection.
 func ExampleWritePNG() {
 	wl, _ := repro.Workload("riddick", 640, 480)
-	res, err := repro.Simulate(wl, repro.Options{Design: repro.BPIM})
+	res, err := repro.SimulateContext(context.Background(), wl, repro.WithDesign(repro.BPIM))
 	if err != nil {
 		log.Fatal(err)
 	}

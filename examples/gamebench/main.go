@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	designs := []repro.Design{repro.Baseline, repro.BPIM, repro.STFIM, repro.ATFIM}
 
 	fmt.Printf("%-18s", "workload")
@@ -34,7 +36,7 @@ func main() {
 		var baseEnergy float64
 		fmt.Printf("%-18s", wl.Name())
 		for i, d := range designs {
-			res, err := repro.Simulate(wl, repro.Options{Design: d})
+			res, err := repro.SimulateContext(ctx, wl, repro.WithDesign(d))
 			if err != nil {
 				log.Fatal(err)
 			}

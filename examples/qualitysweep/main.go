@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,12 +12,13 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	wl, err := repro.Workload("hl2", 640, 480)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	base, err := repro.Simulate(wl, repro.Options{Design: repro.Baseline})
+	base, err := repro.SimulateContext(ctx, wl, repro.WithDesign(repro.Baseline))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,10 +36,8 @@ func main() {
 		{"no-recalc", repro.AngleNoRecalc},
 	}
 	for _, th := range thresholds {
-		res, err := repro.Simulate(wl, repro.Options{
-			Design:         repro.ATFIM,
-			AngleThreshold: th.value,
-		})
+		res, err := repro.SimulateContext(ctx, wl,
+			repro.WithDesign(repro.ATFIM), repro.WithAngleThreshold(th.value))
 		if err != nil {
 			log.Fatal(err)
 		}

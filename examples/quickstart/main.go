@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -11,6 +12,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// Pick a Table II workload: Doom 3 at 640x480.
 	wl, err := repro.Workload("doom3", 640, 480)
 	if err != nil {
@@ -18,13 +21,13 @@ func main() {
 	}
 
 	// Render under the GDDR5 baseline.
-	base, err := repro.Simulate(wl, repro.Options{Design: repro.Baseline})
+	base, err := repro.SimulateContext(ctx, wl, repro.WithDesign(repro.Baseline))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Render under A-TFIM at the paper's default 0.01pi angle threshold.
-	atfim, err := repro.Simulate(wl, repro.Options{Design: repro.ATFIM})
+	atfim, err := repro.SimulateContext(ctx, wl, repro.WithDesign(repro.ATFIM))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -40,12 +41,12 @@ func main() {
 	replayed.AssignTextureAddresses(mem.RegionTexture)
 	fmt.Printf("replaying %s at %dx%d\n", rhdr.Name, rhdr.Width, rhdr.Height)
 
-	opts := repro.Options{Design: repro.ATFIM}
-	fromTrace, err := core.RunScene(replayed, wl, opts)
+	design := repro.WithDesign(repro.ATFIM)
+	fromTrace, err := core.RunScene(replayed, wl, repro.NewOptions(design))
 	if err != nil {
 		log.Fatal(err)
 	}
-	direct, err := repro.Simulate(wl, opts)
+	direct, err := repro.SimulateContext(context.Background(), wl, design)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,8 +32,8 @@ func BenchmarkLeaseRoundTrip(b *testing.B) {
 			Client: &Client{Base: ts.URL, Worker: fmt.Sprintf("bench-%d", i)},
 			Slots:  2,
 			Poll:   time.Millisecond,
-			Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, error) {
-				return []byte("ok"), nil
+			Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, []byte, error) {
+				return []byte("ok"), nil, nil
 			},
 		}
 		go w.Run(ctx)

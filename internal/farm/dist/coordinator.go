@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs/dtrace"
 	"repro/internal/obs/telem"
 )
 
@@ -111,6 +110,7 @@ type lease struct {
 	granted time.Time
 	expires time.Time
 	renews  int
+	lost    chan struct{} // closed when the lease leaves the table
 }
 
 // workerInfo is one worker's liveness record.
@@ -143,6 +143,9 @@ type Coordinator struct {
 	workers   map[string]*workerInfo
 	nextJob   uint64
 	nextLease uint64
+	// wake is closed (and replaced) whenever a job becomes leasable, so
+	// in-process workers waiting for work take it at once.
+	wake chan struct{}
 
 	grants   atomic.Uint64
 	renews   atomic.Uint64
@@ -178,6 +181,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		byID:    make(map[string]*pending),
 		leases:  make(map[string]*lease),
 		workers: make(map[string]*workerInfo),
+		wake:    make(chan struct{}),
 		stop:    make(chan struct{}),
 		swept:   make(chan struct{}),
 	}
@@ -206,15 +210,31 @@ func (c *Coordinator) Enqueue(job Job) (string, <-chan Outcome, error) {
 		enqueued: time.Now(),
 	}
 	c.byID[p.id] = p
-	q := classIndex(job.Class)
-	c.queues[q] = append(c.queues[q], p)
+	c.queueLocked(p)
 	return p.id, p.ch, nil
+}
+
+// queueLocked appends p to its class queue and wakes in-process workers
+// waiting for work. Caller holds c.mu.
+func (c *Coordinator) queueLocked(p *pending) {
+	q := classIndex(p.job.Class)
+	c.queues[q] = append(c.queues[q], p)
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// dropLeaseLocked takes l out of the lease table and signals an
+// in-process holder that the lease is gone. Caller holds c.mu.
+func (c *Coordinator) dropLeaseLocked(l *lease) {
+	delete(c.leases, l.id)
+	l.p.lease = nil
+	close(l.lost)
 }
 
 // Abandon withdraws a dispatched job (its farm-side context was
 // canceled): a queued job is dropped; a leased one has its lease
-// invalidated, so the worker's next renew answers ErrGone and it stops
-// wasting cycles.
+// invalidated, so the worker stops wasting cycles — an in-process worker
+// at once, a remote one when its next renew answers ErrGone.
 func (c *Coordinator) Abandon(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -225,8 +245,7 @@ func (c *Coordinator) Abandon(id string) {
 	p.gone = true
 	delete(c.byID, id)
 	if p.lease != nil {
-		delete(c.leases, p.lease.id)
-		p.lease = nil
+		c.dropLeaseLocked(p.lease)
 	}
 }
 
@@ -234,9 +253,20 @@ func (c *Coordinator) Abandon(id string) {
 // The interactive queue is drained completely before any batch job is
 // granted.
 func (c *Coordinator) Lease(workerID string) (*Grant, bool) {
+	g, _, _ := c.leaseOrWait(workerID)
+	return g, g != nil
+}
+
+// leaseOrWait is Lease that, when no job is queued, also returns a
+// channel the next enqueue or requeue closes. It answers ErrClosed once
+// the coordinator is closed.
+func (c *Coordinator) leaseOrWait(workerID string) (*Grant, <-chan struct{}, error) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return nil, nil, ErrClosed
+	}
 	c.touchWorkerLocked(workerID, now)
 	var p *pending
 scan:
@@ -252,7 +282,7 @@ scan:
 		}
 	}
 	if p == nil {
-		return nil, false
+		return nil, c.wake, nil
 	}
 	c.nextLease++
 	l := &lease{
@@ -261,6 +291,7 @@ scan:
 		worker:  workerID,
 		granted: now,
 		expires: now.Add(c.cfg.TTL),
+		lost:    make(chan struct{}),
 	}
 	p.lease = l
 	c.leases[l.id] = l
@@ -279,7 +310,8 @@ scan:
 		// The grant stamp is t0 of the NTP-style clock-skew estimate the
 		// trace assembly uses to put worker spans on this clock.
 		GrantUnixUS: now.UnixMicro(),
-	}, true
+		lost:        l.lost,
+	}, nil, nil
 }
 
 // Renew extends a held lease by one TTL (the heartbeat). ErrGone tells
@@ -324,25 +356,25 @@ func (c *Coordinator) Progress(leaseID, workerID string, data json.RawMessage) e
 }
 
 // Complete resolves a leased job with the worker's payload or error and
-// releases the lease. report, when non-nil, is the worker's trace half;
-// the outcome carries it alongside the lease's coordinator-clock grant
-// and receipt stamps so the dispatcher can skew-correct worker spans.
-// ErrGone means the result arrived too late (the lease expired and the
-// job went elsewhere) and was discarded.
-func (c *Coordinator) Complete(leaseID, workerID string, payload []byte, execErr string, report *dtrace.WorkerReport) error {
+// releases the lease. req.Trace, when non-nil, is the worker's trace
+// half (stamped with req.Worker); the outcome carries it alongside the
+// lease's coordinator-clock grant and receipt stamps so the dispatcher
+// can skew-correct worker spans, and carries req.Profile as is. ErrGone
+// means the result arrived too late (the lease expired and the job went
+// elsewhere) and was discarded.
+func (c *Coordinator) Complete(leaseID string, req CompleteRequest) error {
 	now := time.Now()
 	c.mu.Lock()
-	w := c.touchWorkerLocked(workerID, now)
+	w := c.touchWorkerLocked(req.Worker, now)
 	l, ok := c.leases[leaseID]
 	if !ok {
 		c.mu.Unlock()
 		return ErrGone
 	}
-	delete(c.leases, leaseID)
 	p := l.p
-	p.lease = nil
+	c.dropLeaseLocked(l)
 	delete(c.byID, p.id)
-	if execErr == "" {
+	if req.Error == "" {
 		w.completed++
 	} else {
 		w.failed++
@@ -351,8 +383,11 @@ func (c *Coordinator) Complete(leaseID, workerID string, payload []byte, execErr
 	c.mu.Unlock()
 
 	c.met.leaseAge.Observe(now.Sub(l.granted).Seconds())
-	p.ch <- Outcome{Payload: payload, Err: execErr, Worker: workerID, Requeues: requeues,
-		Trace: report, Granted: l.granted, Completed: now}
+	if req.Trace != nil {
+		req.Trace.Worker = req.Worker
+	}
+	p.ch <- Outcome{Payload: req.Payload, Err: req.Error, Worker: req.Worker, Requeues: requeues,
+		Trace: req.Trace, Profile: req.Profile, Granted: l.granted, Completed: now}
 	return nil
 }
 
@@ -384,13 +419,12 @@ func (c *Coordinator) sweep(now time.Time) {
 	}
 	var fails []failed
 	c.mu.Lock()
-	for id, l := range c.leases {
+	for _, l := range c.leases {
 		if !now.After(l.expires) {
 			continue
 		}
-		delete(c.leases, id)
 		p := l.p
-		p.lease = nil
+		c.dropLeaseLocked(l)
 		if w, ok := c.workers[l.worker]; ok {
 			w.expired++
 		}
@@ -406,8 +440,7 @@ func (c *Coordinator) sweep(now time.Time) {
 			fails = append(fails, failed{p: p, worker: l.worker})
 			continue
 		}
-		q := classIndex(p.job.Class)
-		c.queues[q] = append(c.queues[q], p)
+		c.queueLocked(p)
 		c.requeues.Add(1)
 		c.met.requeues.Inc()
 	}
@@ -526,12 +559,15 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
+	close(c.wake)
 	orphans := make([]*pending, 0, len(c.byID))
 	for _, p := range c.byID {
 		orphans = append(orphans, p)
 	}
+	for _, l := range c.leases {
+		c.dropLeaseLocked(l)
+	}
 	c.byID = make(map[string]*pending)
-	c.leases = make(map[string]*lease)
 	for q := range c.queues {
 		c.queues[q] = nil
 	}

@@ -51,7 +51,7 @@ func TestLeaseCompleteRoundTrip(t *testing.T) {
 	if err := c.Renew(g.Lease, "w1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Complete(g.Lease, "w1", []byte("payload"), "", nil); err != nil {
+	if err := c.Complete(g.Lease, CompleteRequest{Worker: "w1", Payload: []byte("payload")}); err != nil {
 		t.Fatal(err)
 	}
 	o := waitOutcome(t, ch, time.Second)
@@ -62,7 +62,7 @@ func TestLeaseCompleteRoundTrip(t *testing.T) {
 	if err := c.Renew(g.Lease, "w1"); err != ErrGone {
 		t.Fatalf("renew after complete = %v, want ErrGone", err)
 	}
-	if err := c.Complete(g.Lease, "w1", nil, "", nil); err != ErrGone {
+	if err := c.Complete(g.Lease, CompleteRequest{Worker: "w1"}); err != ErrGone {
 		t.Fatalf("double complete = %v, want ErrGone", err)
 	}
 }
@@ -101,11 +101,11 @@ func TestExpiredLeaseRequeues(t *testing.T) {
 	}
 
 	// The original lease is dead even though its worker wakes up late.
-	if err := c.Complete(g1.Lease, "stalled", []byte("zombie"), "", nil); err != ErrGone {
+	if err := c.Complete(g1.Lease, CompleteRequest{Worker: "stalled", Payload: []byte("zombie")}); err != ErrGone {
 		t.Fatalf("stalled worker completion = %v, want ErrGone", err)
 	}
 
-	if err := c.Complete(g2.Lease, "healthy", []byte("real"), "", nil); err != nil {
+	if err := c.Complete(g2.Lease, CompleteRequest{Worker: "healthy", Payload: []byte("real")}); err != nil {
 		t.Fatal(err)
 	}
 	o := waitOutcome(t, ch, time.Second)

@@ -1,9 +1,11 @@
-// Package dist splits the render farm across processes: a coordinator
-// owns the job queue and hands work to pull-based workers over an HTTP
-// lease protocol (POST /v1/leases grants a job with a TTL; periodic
-// renews keep it; an expired lease requeues the job for another worker),
-// and a durable append-only journal lets a restarted coordinator replay
-// queued jobs instead of losing them.
+// Package dist runs the render farm's jobs on pull-based workers: a
+// coordinator owns the job queue and hands work out under a lease
+// protocol (a lease grants a job with a TTL; periodic renews keep it; an
+// expired lease requeues the job for another worker), and a durable
+// append-only journal lets a restarted coordinator replay queued jobs
+// instead of losing them. Workers speak the protocol through a Transport:
+// remote processes over HTTP (Client), or a worker inside the
+// coordinator's own process by direct call (Coordinator.Local).
 //
 // Like internal/farm, the package is independent of the simulator: a Job
 // carries an opaque JSON spec and workers return an opaque byte payload,
@@ -49,8 +51,8 @@ type Job struct {
 	Spec json.RawMessage
 	// OnProgress, when non-nil, receives progress documents forwarded by
 	// the executing worker (raw JSON, published verbatim onto the farm
-	// job's SSE stream). Called from HTTP handler goroutines; must be
-	// safe for concurrent use and must not block.
+	// job's SSE stream). Called from HTTP handler or in-process worker
+	// goroutines; must be safe for concurrent use and must not block.
 	OnProgress func(json.RawMessage)
 }
 
@@ -68,6 +70,9 @@ type Outcome struct {
 	// Trace is the worker's half of the job's distributed trace (nil
 	// when the job was unsampled or the worker predates tracing).
 	Trace *dtrace.WorkerReport
+	// Profile is the worker-captured pim-render/frameprofile/v1
+	// document (nil unless the job asked for one and really simulated).
+	Profile json.RawMessage
 	// Granted/Completed are the resolving lease's coordinator-clock
 	// grant and completion-receipt instants (t0 and t3 of the skew
 	// estimate); zero on failure paths that never held a lease.
@@ -104,6 +109,11 @@ type Grant struct {
 	// GrantUnixUS is the coordinator-clock grant instant (t0 of the
 	// clock-skew estimate), Unix microseconds.
 	GrantUnixUS int64 `json:"grant_unix_us,omitempty"`
+
+	// lost is closed when the coordinator drops the lease (abandoned,
+	// expired or shut down). Only grants handed out in-process carry it;
+	// a remote worker learns the same thing from its next renew.
+	lost <-chan struct{}
 }
 
 // TTL returns the grant's lease duration.
@@ -131,6 +141,9 @@ type CompleteRequest struct {
 	// and send stamps (worker clock) plus the spans it recorded. Nil
 	// when the grant carried no sampled context.
 	Trace *dtrace.WorkerReport `json:"trace,omitempty"`
+	// Profile is the frame-anatomy document the job captured, when it
+	// asked for one (opaque here, like the payload).
+	Profile json.RawMessage `json:"profile,omitempty"`
 }
 
 // WorkerView is one worker's liveness record (the GET /v1/workers body

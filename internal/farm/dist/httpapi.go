@@ -9,8 +9,6 @@ import (
 	"io"
 	"net/http"
 	"time"
-
-	"repro/internal/obs/dtrace"
 )
 
 // Routes registers the coordinator's lease-protocol endpoints onto mux.
@@ -78,7 +76,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := c.Complete(r.PathValue("id"), req.Worker, req.Payload, req.Error, req.Trace); err != nil {
+	if err := c.Complete(r.PathValue("id"), req); err != nil {
 		jsonError(w, http.StatusGone, err)
 		return
 	}
@@ -110,9 +108,9 @@ func jsonError(w http.ResponseWriter, status int, err error) {
 	jsonBody(w, status, map[string]string{"error": err.Error()})
 }
 
-// Client is the worker side of the lease protocol: a thin HTTP client
-// against a coordinator's base URL. The zero HTTP client is replaced
-// with one carrying a sane timeout.
+// Client is the HTTP Transport: a thin client against a remote
+// coordinator's base URL. The zero HTTP client is replaced with one
+// carrying a sane timeout.
 type Client struct {
 	// Base is the coordinator's base URL (e.g. http://farm:8080).
 	Base string
@@ -199,22 +197,18 @@ func (c *Client) Renew(ctx context.Context, leaseID string) error {
 }
 
 // Progress forwards one progress document for a held lease.
-func (c *Client) Progress(ctx context.Context, leaseID string, data any) error {
-	raw, err := json.Marshal(data)
-	if err != nil {
-		return fmt.Errorf("dist: marshal progress: %w", err)
-	}
-	_, err = c.post(ctx, "/v1/leases/"+leaseID+"/progress",
-		ProgressRequest{Worker: c.Worker, Data: raw}, nil)
+func (c *Client) Progress(ctx context.Context, leaseID string, data json.RawMessage) error {
+	_, err := c.post(ctx, "/v1/leases/"+leaseID+"/progress",
+		ProgressRequest{Worker: c.Worker, Data: data}, nil)
 	return err
 }
 
 // Complete delivers the result payload (or execution error) for a held
-// lease, along with the worker's trace report when the grant carried a
-// sampled context.
-func (c *Client) Complete(ctx context.Context, leaseID string, payload []byte, execErr string, report *dtrace.WorkerReport) error {
-	_, err := c.post(ctx, "/v1/leases/"+leaseID+"/complete",
-		CompleteRequest{Worker: c.Worker, Payload: payload, Error: execErr, Trace: report}, nil)
+// lease, along with the worker's trace report and profile when it has
+// them; req.Worker is set to this client's identity.
+func (c *Client) Complete(ctx context.Context, leaseID string, req CompleteRequest) error {
+	req.Worker = c.Worker
+	_, err := c.post(ctx, "/v1/leases/"+leaseID+"/complete", req, nil)
 	return err
 }
 

@@ -2,7 +2,7 @@ package dist
 
 import (
 	"context"
-	"fmt"
+	"encoding/json"
 	"log/slog"
 	"sync"
 	"time"
@@ -15,27 +15,41 @@ import (
 // coordinator reports an empty queue or is unreachable.
 const DefaultPoll = 500 * time.Millisecond
 
-// progressMinInterval throttles progress forwarding: simulation progress
-// callbacks fire per tile group, far faster than the coordinator needs.
+// progressMinInterval throttles progress forwarding within one stage:
+// simulation progress callbacks fire per tile group, far faster than the
+// coordinator needs.
 const progressMinInterval = 100 * time.Millisecond
 
-// ExecFunc executes one granted job and returns its result payload.
+// ExecFunc executes one granted job and returns its result payload plus,
+// when the job asked for one, its frame-anatomy profile document.
 // ctx is canceled when the lease is lost (expired or the job was
 // canceled upstream) — execution should stop promptly. progress may be
 // called freely; the worker throttles and forwards it to the
 // coordinator.
-type ExecFunc func(ctx context.Context, g *Grant, progress func(any)) ([]byte, error)
+type ExecFunc func(ctx context.Context, g *Grant, progress func(any)) (payload, profile []byte, err error)
+
+// Transport is the worker's side of the lease protocol. *Client speaks
+// it to a remote coordinator over HTTP; Coordinator.Local speaks it to a
+// coordinator in the same process. Lease returns a nil grant when there
+// is no work; Renew, Progress and Complete answer a lost lease with an
+// error IsGone recognises.
+type Transport interface {
+	Lease(ctx context.Context) (*Grant, error)
+	Renew(ctx context.Context, leaseID string) error
+	Progress(ctx context.Context, leaseID string, data json.RawMessage) error
+	Complete(ctx context.Context, leaseID string, req CompleteRequest) error
+}
 
 // Worker pulls leases from a coordinator and executes them. One Worker
 // runs Slots concurrent lease loops; each loop leases, heartbeats at a
 // third of the TTL while executing, and reports completion. cmd/pimfarm
-// runs one Worker per `pimfarm worker` process, with an ExecFunc that
-// decodes the job spec and simulates through core.RunCachedContext — so
-// pointing workers at a shared -store directory makes every node's
-// results warm hits everywhere.
+// runs one Worker per `pimfarm worker` process, and one in-process in
+// local mode, with an ExecFunc that decodes the job spec and simulates
+// through core.RunCachedContext — so pointing workers at a shared -store
+// directory makes every node's results warm hits everywhere.
 type Worker struct {
 	// Client speaks to the coordinator; required.
-	Client *Client
+	Client Transport
 	// Exec executes granted jobs; required.
 	Exec ExecFunc
 	// Slots is the number of concurrent leases; <= 0 selects 1.
@@ -97,7 +111,8 @@ func (w *Worker) loop(ctx context.Context, slot int, poll time.Duration, log *sl
 }
 
 // runLease executes one grant under a heartbeat. The lease is renewed at
-// TTL/3; a renew answered ErrGone cancels the execution context (the
+// TTL/3; a renew answered ErrGone — or, for an in-process grant, the
+// coordinator dropping the lease — cancels the execution context (the
 // coordinator gave the job to someone else or it was canceled), and the
 // result — if any — is not reported.
 //
@@ -135,6 +150,13 @@ func (w *Worker) runLease(ctx context.Context, g *Grant, log *slog.Logger) {
 			select {
 			case <-execCtx.Done():
 				return
+			case <-g.lost:
+				mu.Lock()
+				lost = true
+				mu.Unlock()
+				log.Warn("lease lost", "lease", g.Lease, "job", g.Job)
+				cancelExec()
+				return
 			case <-t.C:
 				if err := w.Client.Renew(ctx, g.Lease); err != nil {
 					if IsGone(err) {
@@ -153,7 +175,7 @@ func (w *Worker) runLease(ctx context.Context, g *Grant, log *slog.Logger) {
 		}
 	}()
 
-	payload, execErr := w.Exec(execCtx, g, w.progressFunc(ctx, g))
+	payload, profile, execErr := w.Exec(execCtx, g, w.progressFunc(ctx, g))
 	cancelExec()
 	<-heartbeatDone
 
@@ -163,15 +185,13 @@ func (w *Worker) runLease(ctx context.Context, g *Grant, log *slog.Logger) {
 	if wasLost {
 		return // coordinator moved on; drop the result
 	}
-	errStr := ""
+	req := CompleteRequest{Payload: payload, Profile: profile}
 	if execErr != nil {
-		errStr = execErr.Error()
+		req.Error = execErr.Error()
 	}
-	var report *dtrace.WorkerReport
 	if rec != nil {
-		report = &dtrace.WorkerReport{
+		req.Trace = &dtrace.WorkerReport{
 			Context:     g.Trace,
-			Worker:      w.Client.Worker,
 			GrantRecvUS: grantRecv.UnixMicro(),
 			SendUS:      time.Now().UnixMicro(), // t2
 			Spans:       rec.Spans(),
@@ -183,14 +203,14 @@ func (w *Worker) runLease(ctx context.Context, g *Grant, log *slog.Logger) {
 	// trouble, and ErrGone means the expiry beat us — nothing to do.
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		if err = w.Client.Complete(ctx, g.Lease, payload, errStr, report); err == nil || IsGone(err) || ctx.Err() != nil {
+		if err = w.Client.Complete(ctx, g.Lease, req); err == nil || IsGone(err) || ctx.Err() != nil {
 			break
 		}
 		sleep(ctx, time.Duration(attempt+1)*200*time.Millisecond)
 	}
 	switch {
 	case err == nil:
-		log.Info("completed", "lease", g.Lease, "job", g.Job, "error", errStr)
+		log.Info("completed", "lease", g.Lease, "job", g.Job, "error", req.Error)
 	case IsGone(err):
 		log.Warn("completion discarded (lease expired)", "lease", g.Lease, "job", g.Job)
 	default:
@@ -198,23 +218,36 @@ func (w *Worker) runLease(ctx context.Context, g *Grant, log *slog.Logger) {
 	}
 }
 
-// progressFunc builds the throttled progress forwarder for one lease.
+// progressFunc builds the progress forwarder for one lease. The first
+// report of each "stage" (a member of the JSON document) is always
+// forwarded, so every stage boundary — the final "done" included —
+// reaches the job's event stream; further reports within a stage are
+// throttled to one per progressMinInterval.
 func (w *Worker) progressFunc(ctx context.Context, g *Grant) func(any) {
 	var mu sync.Mutex
 	var last time.Time
+	var lastStage string
 	return func(data any) {
+		raw, err := json.Marshal(data)
+		if err != nil {
+			return
+		}
+		var doc struct {
+			Stage string `json:"stage"`
+		}
+		_ = json.Unmarshal(raw, &doc) // a document without a stage throttles as one stage
 		mu.Lock()
 		now := time.Now()
-		if now.Sub(last) < progressMinInterval {
+		if doc.Stage == lastStage && now.Sub(last) < progressMinInterval {
 			mu.Unlock()
 			return
 		}
-		last = now
+		last, lastStage = now, doc.Stage
 		mu.Unlock()
 		// Best-effort: progress is cosmetic and must never stall the
 		// simulation; a lost event only thins the SSE stream.
 		pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		_ = w.Client.Progress(pctx, g.Lease, data)
+		_ = w.Client.Progress(pctx, g.Lease, raw)
 		cancel()
 	}
 }
@@ -227,12 +260,4 @@ func sleep(ctx context.Context, d time.Duration) {
 	case <-ctx.Done():
 	case <-t.C:
 	}
-}
-
-// String identifies the worker in logs.
-func (w *Worker) String() string {
-	if w.Client == nil {
-		return "dist.Worker"
-	}
-	return fmt.Sprintf("dist.Worker(%s → %s)", w.Client.Worker, w.Client.Base)
 }

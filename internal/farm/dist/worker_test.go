@@ -59,15 +59,15 @@ func TestWorkerPullLoop(t *testing.T) {
 		Client: &Client{Base: ts.URL, Worker: "test-worker"},
 		Slots:  2,
 		Poll:   10 * time.Millisecond,
-		Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, error) {
+		Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, []byte, error) {
 			progress(map[string]any{"stage": "go", "job": g.Job})
 			var spec struct {
 				N int `json:"n"`
 			}
 			if err := json.Unmarshal(g.Spec, &spec); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return []byte(fmt.Sprintf("result-%d", spec.N)), nil
+			return []byte(fmt.Sprintf("result-%d", spec.N)), nil, nil
 		},
 	}
 	done := make(chan error, 1)
@@ -119,12 +119,12 @@ func TestWorkerHeartbeatOutlivesTTL(t *testing.T) {
 	w := &Worker{
 		Client: &Client{Base: ts.URL, Worker: "slowpoke"},
 		Poll:   10 * time.Millisecond,
-		Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, error) {
+		Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, []byte, error) {
 			select {
 			case <-time.After(500 * time.Millisecond): // ~4 TTLs
-				return []byte("slow-ok"), nil
+				return []byte("slow-ok"), nil, nil
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return nil, nil, ctx.Err()
 			}
 		},
 	}
@@ -162,14 +162,14 @@ func TestWorkerAbortsOnLostLease(t *testing.T) {
 	w := &Worker{
 		Client: &Client{Base: ts.URL, Worker: "victim"},
 		Poll:   10 * time.Millisecond,
-		Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, error) {
+		Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, []byte, error) {
 			close(started)
 			select {
 			case <-ctx.Done():
 				close(aborted)
-				return nil, ctx.Err()
+				return nil, nil, ctx.Err()
 			case <-time.After(30 * time.Second):
-				return []byte("should never finish"), nil
+				return []byte("should never finish"), nil, nil
 			}
 		},
 	}
@@ -201,8 +201,8 @@ func TestWorkerReportsExecErrors(t *testing.T) {
 	w := &Worker{
 		Client: &Client{Base: ts.URL, Worker: "honest"},
 		Poll:   10 * time.Millisecond,
-		Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, error) {
-			return nil, fmt.Errorf("synthetic failure")
+		Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, []byte, error) {
+			return nil, nil, fmt.Errorf("synthetic failure")
 		},
 	}
 	go w.Run(ctx)
@@ -247,5 +247,26 @@ func TestHTTPErrorShapes(t *testing.T) {
 	}
 	if code, m := post("/v1/leases/nope/complete", `{"worker":"w"}`); code != http.StatusGone || m["error"] == "" {
 		t.Fatalf("unknown lease complete: status %d body %v, want 410 with error", code, m)
+	}
+}
+
+// TestLocalWorkerStaysLiveWhileIdle: an in-process worker waiting for
+// work still counts as live, as a polling remote worker does.
+func TestLocalWorkerStaysLiveWhileIdle(t *testing.T) {
+	c := testCoordinator(t, Config{TTL: 40 * time.Millisecond})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &Worker{
+		Client: c.Local("inproc"),
+		Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, []byte, error) {
+			return nil, nil, nil
+		},
+	}
+	go w.Run(ctx)
+
+	time.Sleep(300 * time.Millisecond) // more than twice the liveness window
+	views := c.Workers()
+	if len(views) != 1 || views[0].ID != "inproc" || !views[0].Live {
+		t.Fatalf("idle in-process worker: %+v", views)
 	}
 }

@@ -74,11 +74,12 @@ type Assembly struct {
 	Coordinator []Span
 	// CoordDropped counts coordinator-side spans lost to a cap.
 	CoordDropped int
-	// Worker is the remote half (nil for jobs that ran in-process).
+	// Worker is the executing worker's half (nil when no worker
+	// reported, e.g. the job failed without ever holding a lease).
 	Worker *WorkerReport
 	// GrantUS (t0) is the coordinator-clock grant stamp and CompleteUS
 	// (t3) the coordinator-clock completion receipt; both 0 when the job
-	// never crossed a process boundary.
+	// never held a lease.
 	GrantUS    int64
 	CompleteUS int64
 }

@@ -294,15 +294,11 @@ func (s *Sampler) bilinearVia(t *Texture, level int, u, v float32, f Footprint, 
 	return LerpColor(top, bot, fy)
 }
 
-// ParentTexelCoords enumerates the 8 (level, x, y) parent-texel coordinates
-// a reordered sample touches, in deterministic order: level-0 corners then
-// level-1 corners. When the LOD needs only one level, 4 coordinates are
-// returned. SampleAnisoReordered requests the parents in this order.
-func ParentTexelCoords(t *Texture, u, v float32, f Footprint) []ParentCoord {
-	return AppendParentTexelCoords(make([]ParentCoord, 0, 8), t, u, v, f)
-}
-
-// AppendParentTexelCoords is ParentTexelCoords appending to dst.
+// AppendParentTexelCoords appends the 8 (level, x, y) parent-texel
+// coordinates a reordered sample touches to dst, in deterministic order:
+// level-0 corners then level-1 corners. When the LOD needs only one level,
+// 4 coordinates are appended. SampleAnisoReordered requests the parents in
+// this order.
 func AppendParentTexelCoords(dst []ParentCoord, t *Texture, u, v float32, f Footprint) []ParentCoord {
 	l0, l1, w := trilinearLevels(t, f.Lod)
 	dst = appendParentLevel(dst, t, l0, u, v)

@@ -204,9 +204,9 @@ func TestAverageChildrenN1IsPlainTexel(t *testing.T) {
 
 func TestParentTexelCoordsMatchReorderedSampler(t *testing.T) {
 	// The reordered sampler requests exactly the coordinates
-	// ParentTexelCoords enumerates, in the same order (the A-TFIM path
-	// relies on this contract to index parent values by position), and
-	// AppendParentTexelCoords appends the same list after dst's prefix.
+	// AppendParentTexelCoords enumerates, in the same order (the A-TFIM
+	// path relies on this contract to index parent values by position),
+	// and appending after a prefix keeps the prefix and adds the same list.
 	tx := noiseTexture(64)
 	s := Sampler{MaxAniso: 16}
 	rng := xrand.New(5)
@@ -215,7 +215,7 @@ func TestParentTexelCoordsMatchReorderedSampler(t *testing.T) {
 		u := rng.Float32()
 		v := rng.Float32()
 		foot := Footprint{Lod: rng.Range(0, 4), N: 1 + rng.Intn(8), AxisU: rng.Range(-0.1, 0.1)}
-		coords := ParentTexelCoords(tx, u, v, foot)
+		coords := AppendParentTexelCoords(nil, tx, u, v, foot)
 		if got := AppendParentTexelCoords([]ParentCoord{prefix}, tx, u, v, foot); got[0] != prefix || !slices.Equal(got[1:], coords) {
 			t.Fatalf("AppendParentTexelCoords = %v, want %v after the prefix", got, coords)
 		}
@@ -226,7 +226,7 @@ func TestParentTexelCoordsMatchReorderedSampler(t *testing.T) {
 				return Color{A: 1}
 			})
 		if !slices.Equal(requested, coords) {
-			t.Fatalf("sampler requested %v, ParentTexelCoords lists %v", requested, coords)
+			t.Fatalf("sampler requested %v, AppendParentTexelCoords lists %v", requested, coords)
 		}
 	}
 }

@@ -207,22 +207,17 @@ func (t *Texture) lineBase(lv, x, y int) (*Level, int) {
 }
 
 // LineAddr returns the base address of the 64-byte memory line that
-// contains texel (x, y) of level lv, as LineTexels reports it.
+// contains texel (x, y) of level lv.
 func (t *Texture) LineAddr(lv, x, y int) uint64 {
 	l, base := t.lineBase(lv, x, y)
 	return l.Addr + uint64(base)*4
 }
 
-// LineTexels enumerates the texels stored in the 64-byte memory line that
-// contains texel (x, y) of level lv, together with the line's base address.
-// Under the Morton layout a line is a 4x4 texel block — this is the
-// granularity at which the A-TFIM composing stage groups parent texels
+// AppendLineTexels appends to dst the texels stored in the 64-byte memory
+// line that contains texel (x, y) of level lv (LineAddr is the line's base
+// address). Under the Morton layout a line is a 4x4 texel block — this is
+// the granularity at which the A-TFIM composing stage groups parent texels
 // ("the same format as a normal bilinear fetch", Section V-D).
-func (t *Texture) LineTexels(lv, x, y int) (lineAddr uint64, texels []LineTexel) {
-	return t.LineAddr(lv, x, y), t.AppendLineTexels(make([]LineTexel, 0, texelsPerLine), lv, x, y)
-}
-
-// AppendLineTexels appends the texels LineTexels enumerates to dst.
 func (t *Texture) AppendLineTexels(dst []LineTexel, lv, x, y int) []LineTexel {
 	l, base := t.lineBase(lv, x, y)
 	n := min(texelsPerLine, len(l.Pix)-base)

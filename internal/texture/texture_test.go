@@ -179,7 +179,7 @@ func TestTexelAddrDistinctWithinLevel(t *testing.T) {
 func TestLineTexelsCoverWholeLine(t *testing.T) {
 	tx := NewTexture(0, "t", 64, 64, LayoutMorton, WrapRepeat)
 	tx.AssignAddresses(0)
-	lineAddr, texels := tx.LineTexels(0, 13, 27)
+	lineAddr, texels := tx.LineAddr(0, 13, 27), tx.AppendLineTexels(nil, 0, 13, 27)
 	if len(texels) != 16 {
 		t.Fatalf("line holds %d texels, want 16", len(texels))
 	}
@@ -209,7 +209,7 @@ func TestLineTexelsCoverWholeLine(t *testing.T) {
 func TestLineTexelsTinyLevel(t *testing.T) {
 	tx := NewTexture(0, "t", 2, 2, LayoutMorton, WrapRepeat)
 	tx.AssignAddresses(0)
-	_, texels := tx.LineTexels(0, 0, 0)
+	texels := tx.AppendLineTexels(nil, 0, 0, 0)
 	if len(texels) != 4 {
 		t.Fatalf("2x2 level line holds %d texels, want 4", len(texels))
 	}
@@ -239,9 +239,10 @@ func TestSynthesizeAllKindsInRange(t *testing.T) {
 	}
 }
 
-// TestAppendLineTexelsMatchesLineTexels checks the appending form against
-// the allocating one on a non-empty destination whose prefix must survive,
-// and LineAddr against the address LineTexels reports.
+// TestAppendLineTexelsMatchesLineTexels checks that appending to a
+// non-empty destination keeps its prefix and appends the same line as an
+// empty destination gets, and LineAddr against the address the line's
+// first texel reports.
 func TestAppendLineTexelsMatchesLineTexels(t *testing.T) {
 	for _, layout := range []Layout{LayoutMorton, LayoutLinear} {
 		tx := NewTexture(0, "t", 64, 16, layout, WrapRepeat)
@@ -251,7 +252,8 @@ func TestAppendLineTexelsMatchesLineTexels(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			lv := rng.Intn(tx.NumLevels()+2) - 1
 			x, y := rng.Intn(200)-100, rng.Intn(200)-100
-			wantAddr, want := tx.LineTexels(lv, x, y)
+			want := tx.AppendLineTexels(nil, lv, x, y)
+			wantAddr := tx.TexelAddr(lv, want[0].X, want[0].Y) - uint64(want[0].Off)
 			if addr := tx.LineAddr(lv, x, y); addr != wantAddr {
 				t.Fatalf("%v (%d,%d,%d): LineAddr %#x, want %#x", layout, lv, x, y, addr, wantAddr)
 			}

@@ -168,16 +168,6 @@ func SimulateContext(ctx context.Context, wl WorkloadSpec, opts ...Option) (*Res
 	return core.RunContext(ctx, wl, NewOptions(opts...))
 }
 
-// Simulate renders the workload under the given design and returns its
-// performance, traffic, energy and image measurements.
-//
-// Deprecated: Simulate is the v1 entry point, kept as a thin wrapper. New
-// code should use SimulateContext with functional options, which adds
-// cancellation and does not require constructing an Options literal.
-func Simulate(wl WorkloadSpec, opts Options) (*Result, error) {
-	return core.Run(wl, opts)
-}
-
 // PSNR computes the peak signal-to-noise ratio between two rendered frames
 // (the paper's Fig. 15 quality metric; identical frames return 99).
 func PSNR(a, b []uint32) (float64, error) { return quality.PSNR(a, b) }
@@ -186,10 +176,6 @@ func PSNR(a, b []uint32) (float64, error) { return quality.PSNR(a, b) }
 func WritePNG(w io.Writer, pix []uint32, width, height int) error {
 	return quality.WritePNG(w, pix, width, height)
 }
-
-// ExperimentFunc regenerates one of the paper's figures over a workload
-// set (the v1 signature, kept for the Experiments map).
-type ExperimentFunc func(wls []WorkloadSpec) (*Experiment, error)
 
 // ExperimentDef is one registered experiment: a name plus a context-aware
 // runner. Static experiments (tables, analytic figures) need no workloads
@@ -281,56 +267,8 @@ func (r *ExperimentRegistry) Run(ctx context.Context, name string, wls []Workloa
 	return d.Run(ctx, wls)
 }
 
-// Experiments returns the sweep-based harness keyed by experiment name
-// ("fig2" ... "fig16") with the v1 signature; table1/table2/fig7/overhead
-// take no workloads and are exposed by StaticExperiments.
-//
-// Deprecated: use Registry, whose entries are typed and context-aware.
-func Experiments() map[string]ExperimentFunc {
-	out := map[string]ExperimentFunc{}
-	for _, d := range registry.defs {
-		if d.Static {
-			continue
-		}
-		d := d
-		out[d.Name] = func(wls []WorkloadSpec) (*Experiment, error) {
-			return d.Run(context.Background(), wls)
-		}
-	}
-	return out
-}
-
-// StaticExperiments returns the experiments that need no simulation sweep.
-//
-// Deprecated: use Registry; static entries carry Static == true.
-func StaticExperiments() map[string]func() *Experiment {
-	out := map[string]func() *Experiment{}
-	for _, d := range registry.defs {
-		if !d.Static {
-			continue
-		}
-		d := d
-		out[d.Name] = func() *Experiment {
-			exp, err := d.Run(context.Background(), nil)
-			if err != nil {
-				panic(err) // static experiments cannot fail
-			}
-			return exp
-		}
-	}
-	return out
-}
-
 // ExperimentNames lists every experiment in presentation order.
 func ExperimentNames() []string { return registry.Names() }
-
-// RunExperiment regenerates one experiment by name over the given
-// workload set (ignored by the static experiments).
-//
-// Deprecated: use Registry().Run, which accepts a context.
-func RunExperiment(name string, wls []WorkloadSpec) (*Experiment, error) {
-	return registry.Run(context.Background(), name, wls)
-}
 
 // QuickSet returns the default evaluation workload set (five games at
 // 640x480 plus one 1280x1024 capture); FullSet returns all of Table II.

@@ -25,7 +25,7 @@ func TestWorkloadCatalog(t *testing.T) {
 
 func TestSimulateEndToEnd(t *testing.T) {
 	wl, _ := repro.Workload("wolf", 320, 240)
-	res, err := repro.Simulate(wl, repro.Options{Design: repro.ATFIM})
+	res, err := repro.SimulateContext(context.Background(), wl, repro.WithDesign(repro.ATFIM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +54,7 @@ func TestExperimentRegistry(t *testing.T) {
 	if len(names) != 14 {
 		t.Fatalf("%d experiments registered", len(names))
 	}
+	static := map[string]bool{"table1": true, "table2": true, "fig7": true, "overhead": true}
 	seen := map[string]bool{}
 	for _, n := range names {
 		if seen[n] {
@@ -64,13 +65,16 @@ func TestExperimentRegistry(t *testing.T) {
 		if !ok {
 			t.Fatalf("experiment %q listed but not gettable", n)
 		}
-		// The deprecated v1 maps wrap the registry; they must partition
-		// exactly along its Static flag.
-		inDynamic := repro.Experiments()[n] != nil
-		inStatic := repro.StaticExperiments()[n] != nil
-		if inDynamic == inStatic || inStatic != d.Static {
-			t.Fatalf("experiment %q: static=%v but dynamic-map=%v static-map=%v",
-				n, d.Static, inDynamic, inStatic)
+		// The registry partitions exactly along the Static flag: the four
+		// tables and analytic figures run with no workloads, every other
+		// entry is a simulation sweep.
+		if d.Name != n || d.Static != static[n] {
+			t.Fatalf("experiment %q: name=%q static=%v, want static=%v", n, d.Name, d.Static, static[n])
+		}
+		if d.Static {
+			if exp, err := repro.Registry().Run(context.Background(), n, nil); err != nil || exp == nil {
+				t.Fatalf("static experiment %q without workloads: %v", n, err)
+			}
 		}
 	}
 	if _, err := repro.Registry().Run(context.Background(), "nope", nil); err == nil {
