@@ -18,23 +18,32 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/farm"
 	"repro/internal/farm/dist"
 	"repro/internal/obs"
 	"repro/internal/obs/telem"
+	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 // newDistTestServer builds a coordinator-mode API server: jobs dispatch
 // through cfg's coordinator instead of simulating in-process.
 func newDistTestServer(t *testing.T, cfg dist.Config) (*httptest.Server, *server) {
+	return newDistStoreServer(t, cfg, nil)
+}
+
+// newDistStoreServer is newDistTestServer with st, when non-nil, as the
+// farm's store tier (pimfarm -dist -store).
+func newDistStoreServer(t *testing.T, cfg dist.Config, st *store.Store) (*httptest.Server, *server) {
 	t.Helper()
 	if cfg.Metrics == nil {
 		cfg.Metrics = telem.NewRegistry()
 	}
-	f := farm.New(farm.Config{Workers: 4, QueueDepth: 16})
+	f := farm.New(farm.Config{Workers: 4, QueueDepth: 16, Tier: core.StoreTier(st)})
 	coord := dist.NewCoordinator(cfg)
-	api := newServer(f, nil, coord)
+	api := newServer(f, st, coord)
 	ts := httptest.NewServer(api)
 	t.Cleanup(func() {
 		ts.Close()
@@ -182,6 +191,68 @@ func TestDistEndToEndMatchesLocal(t *testing.T) {
 	if v2 := getVarz(t, ts); v2.Dist.LeaseOps.Grants != grantsBefore {
 		t.Fatalf("cache-served job granted a lease (%d -> %d)",
 			grantsBefore, v2.Dist.LeaseOps.Grants)
+	}
+}
+
+// TestDistSharedStoreWritesOnce: under -dist the worker's run-cache
+// write-through and the coordinator's farm tier share one store directory
+// (pimfarm -dist -store DIR plus pimfarm worker -store DIR). Each cold job
+// is encoded and written once between them, and the entry serves warm
+// hits on the worker and on a restarted coordinator.
+func TestDistSharedStoreWritesOnce(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *store.Store {
+		st, err := store.Open(store.Config{Dir: dir, Metrics: telem.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	workerStore := open()
+	core.SetResultStore(workerStore)
+	t.Cleanup(func() { core.SetResultStore(nil) })
+	core.ClearRunCache()
+
+	coordStore := open()
+	ts, _ := newDistStoreServer(t, dist.Config{TTL: time.Minute}, coordStore)
+	startTestWorker(t, ts.URL, "store-worker")
+	bodies := []string{
+		`{"game":"doom3","width":160,"height":120,"design":"baseline"}`,
+		`{"game":"wolf","width":160,"height":120,"design":"bpim"}`,
+	}
+	for i, body := range bodies {
+		jr, code := postJob(t, ts, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("POST = %d", code)
+		}
+		if final := pollJob(t, ts, jr.ID); final.State != "done" || final.TierHit {
+			t.Fatalf("cold job %d: %s tier_hit=%v (%s)", i, final.State, final.TierHit, final.Error)
+		}
+		coord, worker := coordStore.Counters().Puts, workerStore.Counters().Puts
+		if coord+worker != uint64(i+1) {
+			t.Fatalf("after %d cold jobs: coordinator puts=%d + worker puts=%d, want %d",
+				i+1, coord, worker, i+1)
+		}
+	}
+
+	// A worker that lost its memory cache reads the entry back from disk.
+	core.ClearRunCache()
+	disk := core.RunCacheCounters()["disk"]
+	if _, err := core.RunCached(workload.MustGet("doom3", 160, 120), core.Options{Design: config.Baseline}); err != nil {
+		t.Fatal(err)
+	}
+	if got := core.RunCacheCounters()["disk"]; got != disk+1 {
+		t.Fatalf("worker run-cache disk hits %d -> %d, want one more", disk, got)
+	}
+
+	// A restarted coordinator on the same directory serves both jobs as
+	// store-tier hits, with no worker attached.
+	restarted, _ := newDistStoreServer(t, dist.Config{TTL: time.Minute}, open())
+	for i, body := range bodies {
+		jr, _ := postJob(t, restarted, body)
+		if final := pollJob(t, restarted, jr.ID); final.State != "done" || !final.TierHit {
+			t.Fatalf("warm job %d: %s tier_hit=%v (%s)", i, final.State, final.TierHit, final.Error)
+		}
 	}
 }
 

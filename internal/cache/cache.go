@@ -67,6 +67,16 @@ type Stats struct {
 	AngleRejects uint64
 }
 
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.Accesses += o.Accesses
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.Writebacks += o.Writebacks
+	s.AngleRejects += o.AngleRejects
+}
+
 // HitRate returns hits/accesses (0 when no accesses).
 func (s Stats) HitRate() float64 {
 	if s.Accesses == 0 {

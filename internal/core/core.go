@@ -123,10 +123,6 @@ func (r *Result) TexFilterLatency() float64 { return r.Frame.TexFilterLatency() 
 // Cycles returns the total render time in GPU cycles.
 func (r *Result) Cycles() int64 { return r.Frame.Cycles }
 
-// trafficReporter is implemented by texture paths that track their own
-// GPU<->memory traffic.
-type trafficReporter interface{ Traffic() *mem.Traffic }
-
 // ValidateOptions reports whether opts form a runnable configuration.
 // cmd/pimfarm uses it to reject bad submissions with a 400 at submit time
 // instead of queuing a job that is guaranteed to fail.
@@ -267,15 +263,11 @@ func RunScene(sc *scene.Scene, wl workload.Workload, opts Options) (*Result, err
 func runScene(ctx context.Context, sc *scene.Scene, wl workload.Workload, cfg config.Config, opts Options) (*Result, error) {
 	backend, path, cube := buildDesign(cfg, opts.HMCCubes)
 	pipe := gpu.NewPipeline(cfg, wl.Width, wl.Height, backend, path)
-	shards := opts.Shards
-	if shards == 0 {
-		shards = DefaultShards()
+	pipe.Shards = opts.Shards // below 1 runs one worker
+	if pipe.Shards == 0 {
+		pipe.Shards = DefaultShards()
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	pipe.Shards = shards
-	onProgress, onFrameEnd := simTelemetry(cfg.Design)
+	onProgress, gauges := simTelemetry(cfg.Design)
 	if user := opts.Progress; user != nil {
 		pipe.Progress = func(pr gpu.Progress) {
 			onProgress(pr)
@@ -292,20 +284,15 @@ func runScene(ctx context.Context, sc *scene.Scene, wl workload.Workload, cfg co
 		}
 		return wb, wp, internal
 	}
-	var profiler *gpu.FrameProfiler
-	if opts.Profile != nil {
-		profiler = &gpu.FrameProfiler{}
-		pipe.Profiler = profiler
-	}
+	observers := []gpu.Observer{gauges}
 	if opts.Trace != nil {
-		pipe.SetTracer(opts.Trace)
-		if ta, ok := backend.(obs.TraceAttacher); ok {
-			ta.SetTracer(opts.Trace)
-		}
-		if ta, ok := path.(obs.TraceAttacher); ok {
-			ta.SetTracer(opts.Trace)
-		}
+		observers = append(observers, gpu.TraceObserver(opts.Trace, backend, path))
 	}
+	profiler := &gpu.FrameProfiler{}
+	if opts.Profile != nil {
+		observers = append(observers, profiler)
+	}
+	pipe.Observer = gpu.Observers(observers...)
 
 	frames := opts.Frames
 	if frames < 1 {
@@ -329,10 +316,9 @@ func runScene(ctx context.Context, sc *scene.Scene, wl workload.Workload, cfg co
 		if err != nil {
 			return nil, err
 		}
-		onFrameEnd(backend)
 		// Merge the frame-level texture path's traffic into the frame
 		// traffic (worker-path traffic is already folded in per group).
-		if tr, ok := path.(trafficReporter); ok {
+		if tr, ok := path.(gpu.TrafficSource); ok {
 			res.Traffic.Add(tr.Traffic())
 		}
 		// Fill the external/internal byte counts for the energy model; the
@@ -341,21 +327,6 @@ func runScene(ctx context.Context, sc *scene.Scene, wl workload.Workload, cfg co
 		res.Activity.ExternalBytes = res.Traffic.Total()
 		if cube != nil {
 			res.Activity.InternalBytes += cube.TotalStats().VaultBytes
-		}
-		// Stamp the finished frame's off-chip traffic breakdown into its
-		// anatomy (named like the metrics/v1 traffic counters).
-		if profiler != nil {
-			if frames := profiler.Frames(); len(frames) > 0 {
-				tb := map[string]uint64{}
-				for c := mem.Class(0); c < mem.NumClasses; c++ {
-					for _, k := range []mem.Kind{mem.Read, mem.Write} {
-						if b := res.Traffic.Bytes(c, k); b > 0 {
-							tb[fmt.Sprintf("%s.%s", c, k)] = b
-						}
-					}
-				}
-				frames[len(frames)-1].TrafficBytes = tb
-			}
 		}
 		if acc == nil {
 			acc = res

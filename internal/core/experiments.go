@@ -175,35 +175,46 @@ func Fig2MemoryBreakdown(ctx context.Context, wls []workload.Workload) (*Experim
 	}, nil
 }
 
+// pairSweep prefetches runs a and b of every workload, then hands each
+// workload's pair to row in workload order.
+func pairSweep(ctx context.Context, wls []workload.Workload, a, b Options, row func(wl workload.Workload, ra, rb *Result)) error {
+	var specs []runSpec
+	for _, wl := range wls {
+		specs = append(specs, runSpec{wl, a}, runSpec{wl, b})
+	}
+	if err := prefetch(ctx, specs); err != nil {
+		return err
+	}
+	for _, wl := range wls {
+		ra, err := RunCachedContext(ctx, wl, a)
+		if err != nil {
+			return err
+		}
+		rb, err := RunCachedContext(ctx, wl, b)
+		if err != nil {
+			return err
+		}
+		row(wl, ra, rb)
+	}
+	return nil
+}
+
 // Fig4AnisoOff reproduces Fig. 4: texture-filtering speedup and texture
 // memory traffic when anisotropic filtering is disabled on the baseline.
 func Fig4AnisoOff(ctx context.Context, wls []workload.Workload) (*Experiment, error) {
 	tab := stats.NewTable("Fig 4: anisotropic filtering disabled (Baseline)",
 		"workload", "filter speedup", "normalized traffic")
-	var specs []runSpec
-	for _, wl := range wls {
-		specs = append(specs,
-			runSpec{wl, Options{Design: config.Baseline}},
-			runSpec{wl, Options{Design: config.Baseline, DisableAniso: true}})
-	}
-	if err := prefetch(ctx, specs); err != nil {
-		return nil, err
-	}
 	var sp, tr []float64
-	for _, wl := range wls {
-		on, err := RunCachedContext(ctx, wl, Options{Design: config.Baseline})
-		if err != nil {
-			return nil, err
-		}
-		off, err := RunCachedContext(ctx, wl, Options{Design: config.Baseline, DisableAniso: true})
-		if err != nil {
-			return nil, err
-		}
-		s := on.Frame.Activity.Path.FilterTime() / off.Frame.Activity.Path.FilterTime()
-		n := float64(off.TextureTraffic()) / float64(on.TextureTraffic())
-		tab.AddRowF(wl.Name(), s, n)
-		sp = append(sp, s)
-		tr = append(tr, n)
+	err := pairSweep(ctx, wls, Options{Design: config.Baseline}, Options{Design: config.Baseline, DisableAniso: true},
+		func(wl workload.Workload, on, off *Result) {
+			s := on.Frame.Activity.Path.FilterTime() / off.Frame.Activity.Path.FilterTime()
+			n := float64(off.TextureTraffic()) / float64(on.TextureTraffic())
+			tab.AddRowF(wl.Name(), s, n)
+			sp = append(sp, s)
+			tr = append(tr, n)
+		})
+	if err != nil {
+		return nil, err
 	}
 	return &Experiment{
 		Name:  "fig4",
@@ -222,30 +233,17 @@ func Fig4AnisoOff(ctx context.Context, wls []workload.Workload) (*Experiment, er
 func Fig5BPIM(ctx context.Context, wls []workload.Workload) (*Experiment, error) {
 	tab := stats.NewTable("Fig 5: B-PIM speedup over Baseline",
 		"workload", "render speedup", "filter speedup")
-	var specs []runSpec
-	for _, wl := range wls {
-		specs = append(specs,
-			runSpec{wl, Options{Design: config.Baseline}},
-			runSpec{wl, Options{Design: config.BPIM}})
-	}
-	if err := prefetch(ctx, specs); err != nil {
-		return nil, err
-	}
 	var rsp, fsp []float64
-	for _, wl := range wls {
-		base, err := RunCachedContext(ctx, wl, Options{Design: config.Baseline})
-		if err != nil {
-			return nil, err
-		}
-		bpim, err := RunCachedContext(ctx, wl, Options{Design: config.BPIM})
-		if err != nil {
-			return nil, err
-		}
-		r := float64(base.Cycles()) / float64(bpim.Cycles())
-		f := base.Frame.Activity.Path.FilterTime() / bpim.Frame.Activity.Path.FilterTime()
-		tab.AddRowF(wl.Name(), r, f)
-		rsp = append(rsp, r)
-		fsp = append(fsp, f)
+	err := pairSweep(ctx, wls, Options{Design: config.Baseline}, Options{Design: config.BPIM},
+		func(wl workload.Workload, base, bpim *Result) {
+			r := float64(base.Cycles()) / float64(bpim.Cycles())
+			f := base.Frame.Activity.Path.FilterTime() / bpim.Frame.Activity.Path.FilterTime()
+			tab.AddRowF(wl.Name(), r, f)
+			rsp = append(rsp, r)
+			fsp = append(fsp, f)
+		})
+	if err != nil {
+		return nil, err
 	}
 	return &Experiment{
 		Name:  "fig5",
@@ -308,70 +306,65 @@ func designSweep(ctx context.Context, wls []workload.Workload) (map[string]map[c
 	return out, nil
 }
 
-// Fig10TextureSpeedup reproduces Fig. 10: normalized texture-filtering
-// speedup of the four designs (plus A-TFIM at 0.05pi for reference).
-func Fig10TextureSpeedup(ctx context.Context, wls []workload.Workload) (*Experiment, error) {
+// normalizedSweep tabulates metric for every design on every workload
+// relative to the Baseline — as base/metric when speedup is set, else as
+// metric/base — and returns the table and each design's values in
+// workload order.
+func normalizedSweep(ctx context.Context, wls []workload.Workload, title string, metric func(*Result) float64, speedup bool) (*stats.Table, map[config.Design][]float64, error) {
 	sweep, err := designSweep(ctx, wls)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	tab := stats.NewTable("Fig 10: texture filtering speedup (normalized to Baseline)",
-		"workload", "Baseline", "B-PIM", "S-TFIM", "A-TFIM-001pi")
+	tab := stats.NewTable(title, "workload", "Baseline", "B-PIM", "S-TFIM", "A-TFIM-001pi")
 	agg := map[config.Design][]float64{}
 	for _, wl := range wls {
 		row := sweep[wl.Name()]
-		base := row[config.Baseline].Frame.Activity.Path.FilterTime()
+		base := metric(row[config.Baseline])
 		vals := make([]float64, 0, 4)
 		for _, d := range config.AllDesigns() {
-			v := base / row[d].Frame.Activity.Path.FilterTime()
+			v := metric(row[d]) / base
+			if speedup {
+				v = base / metric(row[d])
+			}
 			vals = append(vals, v)
 			agg[d] = append(agg[d], v)
 		}
 		tab.AddRowF(wl.Name(), vals...)
 	}
-	return &Experiment{
-		Name:  "fig10",
-		Table: tab,
-		Summary: map[string]float64{
-			"avg_speedup_bpim":  stats.Mean(agg[config.BPIM]),
-			"avg_speedup_stfim": stats.Mean(agg[config.STFIM]),
-			"avg_speedup_atfim": stats.Mean(agg[config.ATFIM]),
-			"max_speedup_atfim": stats.Max(agg[config.ATFIM]),
-		},
-	}, nil
+	return tab, agg, nil
+}
+
+// speedupSummary is the Fig. 10/11 headline: mean speedup per PIM design
+// and A-TFIM's best workload.
+func speedupSummary(agg map[config.Design][]float64) map[string]float64 {
+	return map[string]float64{
+		"avg_speedup_bpim":  stats.Mean(agg[config.BPIM]),
+		"avg_speedup_stfim": stats.Mean(agg[config.STFIM]),
+		"avg_speedup_atfim": stats.Mean(agg[config.ATFIM]),
+		"max_speedup_atfim": stats.Max(agg[config.ATFIM]),
+	}
+}
+
+// Fig10TextureSpeedup reproduces Fig. 10: normalized texture-filtering
+// speedup of the four designs (plus A-TFIM at 0.05pi for reference).
+func Fig10TextureSpeedup(ctx context.Context, wls []workload.Workload) (*Experiment, error) {
+	tab, agg, err := normalizedSweep(ctx, wls, "Fig 10: texture filtering speedup (normalized to Baseline)",
+		func(r *Result) float64 { return r.Frame.Activity.Path.FilterTime() }, true)
+	if err != nil {
+		return nil, err
+	}
+	return &Experiment{Name: "fig10", Table: tab, Summary: speedupSummary(agg)}, nil
 }
 
 // Fig11RenderSpeedup reproduces Fig. 11: normalized 3D-rendering speedup
 // of the four designs.
 func Fig11RenderSpeedup(ctx context.Context, wls []workload.Workload) (*Experiment, error) {
-	sweep, err := designSweep(ctx, wls)
+	tab, agg, err := normalizedSweep(ctx, wls, "Fig 11: 3D rendering speedup (normalized to Baseline)",
+		func(r *Result) float64 { return float64(r.Cycles()) }, true)
 	if err != nil {
 		return nil, err
 	}
-	tab := stats.NewTable("Fig 11: 3D rendering speedup (normalized to Baseline)",
-		"workload", "Baseline", "B-PIM", "S-TFIM", "A-TFIM-001pi")
-	agg := map[config.Design][]float64{}
-	for _, wl := range wls {
-		row := sweep[wl.Name()]
-		base := float64(row[config.Baseline].Cycles())
-		vals := make([]float64, 0, 4)
-		for _, d := range config.AllDesigns() {
-			v := base / float64(row[d].Cycles())
-			vals = append(vals, v)
-			agg[d] = append(agg[d], v)
-		}
-		tab.AddRowF(wl.Name(), vals...)
-	}
-	return &Experiment{
-		Name:  "fig11",
-		Table: tab,
-		Summary: map[string]float64{
-			"avg_speedup_bpim":  stats.Mean(agg[config.BPIM]),
-			"avg_speedup_stfim": stats.Mean(agg[config.STFIM]),
-			"avg_speedup_atfim": stats.Mean(agg[config.ATFIM]),
-			"max_speedup_atfim": stats.Max(agg[config.ATFIM]),
-		},
-	}, nil
+	return &Experiment{Name: "fig11", Table: tab, Summary: speedupSummary(agg)}, nil
 }
 
 // Fig12MemoryTraffic reproduces Fig. 12: texture memory traffic normalized
@@ -425,23 +418,10 @@ func Fig12MemoryTraffic(ctx context.Context, wls []workload.Workload) (*Experime
 // Fig13Energy reproduces Fig. 13: whole-GPU energy normalized to the
 // baseline.
 func Fig13Energy(ctx context.Context, wls []workload.Workload) (*Experiment, error) {
-	sweep, err := designSweep(ctx, wls)
+	tab, agg, err := normalizedSweep(ctx, wls, "Fig 13: energy consumption (normalized to Baseline)",
+		func(r *Result) float64 { return r.Energy.Total() }, false)
 	if err != nil {
 		return nil, err
-	}
-	tab := stats.NewTable("Fig 13: energy consumption (normalized to Baseline)",
-		"workload", "Baseline", "B-PIM", "S-TFIM", "A-TFIM-001pi")
-	agg := map[config.Design][]float64{}
-	for _, wl := range wls {
-		row := sweep[wl.Name()]
-		base := row[config.Baseline].Energy.Total()
-		vals := make([]float64, 0, 4)
-		for _, d := range config.AllDesigns() {
-			v := row[d].Energy.Total() / base
-			vals = append(vals, v)
-			agg[d] = append(agg[d], v)
-		}
-		tab.AddRowF(wl.Name(), vals...)
 	}
 	return &Experiment{
 		Name:  "fig13",
@@ -483,9 +463,10 @@ func thresholdSweep(ctx context.Context, wls []workload.Workload) (map[string]ma
 	return out, nil
 }
 
-// Fig14ThresholdSpeedup reproduces Fig. 14: A-TFIM rendering speedup under
-// different camera-angle thresholds.
-func Fig14ThresholdSpeedup(ctx context.Context, wls []workload.Workload) (*Experiment, error) {
+// thresholdFigure tabulates value(base, run) for A-TFIM at every
+// camera-angle threshold on every workload, base being the workload's
+// Baseline run, and summarizes each threshold's mean as "avg_<label>".
+func thresholdFigure(ctx context.Context, wls []workload.Workload, name, title string, value func(base, run *Result) (float64, error)) (*Experiment, error) {
 	sweep, err := thresholdSweep(ctx, wls)
 	if err != nil {
 		return nil, err
@@ -495,7 +476,7 @@ func Fig14ThresholdSpeedup(ctx context.Context, wls []workload.Workload) (*Exper
 	for _, th := range labels {
 		cols = append(cols, th.Label)
 	}
-	tab := stats.NewTable("Fig 14: A-TFIM rendering speedup vs camera-angle threshold", cols...)
+	tab := stats.NewTable(title, cols...)
 	agg := map[string][]float64{}
 	for _, wl := range wls {
 		base, err := RunCachedContext(ctx, wl, Options{Design: config.Baseline})
@@ -504,7 +485,10 @@ func Fig14ThresholdSpeedup(ctx context.Context, wls []workload.Workload) (*Exper
 		}
 		vals := make([]float64, 0, len(labels))
 		for _, th := range labels {
-			v := float64(base.Cycles()) / float64(sweep[wl.Name()][th.Label].Cycles())
+			v, err := value(base, sweep[wl.Name()][th.Label])
+			if err != nil {
+				return nil, err
+			}
 			vals = append(vals, v)
 			agg[th.Label] = append(agg[th.Label], v)
 		}
@@ -514,44 +498,21 @@ func Fig14ThresholdSpeedup(ctx context.Context, wls []workload.Workload) (*Exper
 	for _, th := range labels {
 		sum["avg_"+th.Label] = stats.Mean(agg[th.Label])
 	}
-	return &Experiment{Name: "fig14", Table: tab, Summary: sum}, nil
+	return &Experiment{Name: name, Table: tab, Summary: sum}, nil
+}
+
+// Fig14ThresholdSpeedup reproduces Fig. 14: A-TFIM rendering speedup under
+// different camera-angle thresholds.
+func Fig14ThresholdSpeedup(ctx context.Context, wls []workload.Workload) (*Experiment, error) {
+	return thresholdFigure(ctx, wls, "fig14", "Fig 14: A-TFIM rendering speedup vs camera-angle threshold",
+		func(base, run *Result) (float64, error) { return float64(base.Cycles()) / float64(run.Cycles()), nil })
 }
 
 // Fig15ThresholdQuality reproduces Fig. 15: PSNR of A-TFIM frames against
 // the baseline render under different camera-angle thresholds.
 func Fig15ThresholdQuality(ctx context.Context, wls []workload.Workload) (*Experiment, error) {
-	sweep, err := thresholdSweep(ctx, wls)
-	if err != nil {
-		return nil, err
-	}
-	labels := config.AngleThresholds()
-	cols := []string{"workload"}
-	for _, th := range labels {
-		cols = append(cols, th.Label)
-	}
-	tab := stats.NewTable("Fig 15: A-TFIM image quality (PSNR) vs camera-angle threshold", cols...)
-	agg := map[string][]float64{}
-	for _, wl := range wls {
-		base, err := RunCachedContext(ctx, wl, Options{Design: config.Baseline})
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]float64, 0, len(labels))
-		for _, th := range labels {
-			p, err := quality.PSNR(base.Image, sweep[wl.Name()][th.Label].Image)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, p)
-			agg[th.Label] = append(agg[th.Label], p)
-		}
-		tab.AddRowF(wl.Name(), vals...)
-	}
-	sum := map[string]float64{}
-	for _, th := range labels {
-		sum["avg_"+th.Label] = stats.Mean(agg[th.Label])
-	}
-	return &Experiment{Name: "fig15", Table: tab, Summary: sum}, nil
+	return thresholdFigure(ctx, wls, "fig15", "Fig 15: A-TFIM image quality (PSNR) vs camera-angle threshold",
+		func(base, run *Result) (float64, error) { return quality.PSNR(base.Image, run.Image) })
 }
 
 // Fig16Tradeoff reproduces Fig. 16: the averaged performance-quality

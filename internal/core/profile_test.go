@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/config"
@@ -76,55 +77,74 @@ func TestFrameProfileArtifact(t *testing.T) {
 
 // TestProfileDoesNotPerturbResults: profiling is observational only — the
 // metrics snapshot and framebuffer of a profiled run are byte-identical to
-// an unprofiled one.
+// an unprofiled one, also with the tracer and a progress callback on too.
 func TestProfileDoesNotPerturbResults(t *testing.T) {
 	wl := miniWorkload(t)
 	plain, err := RunContext(context.Background(), wl, Options{Design: config.BPIM})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fp obs.FrameProfile
-	profiled, err := RunContext(context.Background(), wl, Options{Design: config.BPIM, Profile: &fp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
+	var a bytes.Buffer
 	if err := plain.Metrics().WriteJSON(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := profiled.Metrics().WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("metrics snapshot differs with profiling on")
-	}
-	for i := range plain.Image {
-		if plain.Image[i] != profiled.Image[i] {
-			t.Fatalf("framebuffer diverges at pixel %d", i)
+	var progressed atomic.Int64
+	for name, opts := range map[string]Options{
+		"profile": {Design: config.BPIM, Profile: &obs.FrameProfile{}},
+		"trace+profile+progress": {Design: config.BPIM, Profile: &obs.FrameProfile{},
+			Trace: obs.NewTracer(0), Progress: func(Progress) { progressed.Add(1) }},
+	} {
+		observed, err := RunContext(context.Background(), wl, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var b bytes.Buffer
+		if err := observed.Metrics().WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("%s: metrics snapshot differs with observers on", name)
+		}
+		for i := range plain.Image {
+			if plain.Image[i] != observed.Image[i] {
+				t.Fatalf("%s: framebuffer diverges at pixel %d", name, i)
+			}
+		}
+	}
+	if progressed.Load() == 0 {
+		t.Fatal("progress callback never ran")
 	}
 }
 
-// TestProfileDeterministicAcrossShards: the artifact itself — not just the
-// simulated results — is byte-identical at any shard count.
+// TestProfileDeterministicAcrossShards: the artifacts themselves — not
+// just the simulated results — are byte-identical at any shard count:
+// the frame profile and the Chrome trace of the same run.
 func TestProfileDeterministicAcrossShards(t *testing.T) {
 	wl := miniWorkload(t)
-	artifact := func(shards int) []byte {
+	artifacts := func(shards int) (profile, trace []byte) {
 		var fp obs.FrameProfile
+		tr := obs.NewTracer(0)
 		if _, err := RunContext(context.Background(), wl,
-			Options{Design: config.ATFIM, Shards: shards, Profile: &fp}); err != nil {
+			Options{Design: config.ATFIM, Shards: shards, Profile: &fp, Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := fp.WriteJSON(&buf); err != nil {
+		var pb, tb bytes.Buffer
+		if err := fp.WriteJSON(&pb); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		if err := tr.WriteChromeTrace(&tb); err != nil {
+			t.Fatal(err)
+		}
+		return pb.Bytes(), tb.Bytes()
 	}
-	serial := artifact(1)
+	serialProfile, serialTrace := artifacts(1)
 	for _, shards := range []int{2, 8} {
-		if !bytes.Equal(artifact(shards), serial) {
+		profile, trace := artifacts(shards)
+		if !bytes.Equal(profile, serialProfile) {
 			t.Fatalf("shards=%d: profile artifact differs from serial run", shards)
+		}
+		if !bytes.Equal(trace, serialTrace) {
+			t.Fatalf("shards=%d: Chrome trace differs from serial run", shards)
 		}
 	}
 }

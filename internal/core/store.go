@@ -80,7 +80,13 @@ func (t storeTier) Get(key string) (any, bool) {
 	return r, true
 }
 
+// Put writes v through unless this simulator version already stored the
+// key — under -dist, a worker sharing the store wrote it before completing
+// the lease — so each computed result is encoded and written once.
 func (t storeTier) Put(key string, v any) {
+	if man, ok := t.st.Manifest(key); ok && man.SimVersion == SimVersion && man.PayloadSchema == StoredResultSchema {
+		return
+	}
 	if r, ok := v.(*Result); ok {
 		saveStoredResult(t.st, key, r)
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/farm"
-	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -20,7 +19,6 @@ var (
 	sweepMu      sync.Mutex
 	sweepFarmVar *farm.Farm
 	sweepWorkers int // 0 selects GOMAXPROCS
-	sweepTracer  *obs.Tracer
 )
 
 // SetSweepParallelism sets the worker count used for experiment sweeps;
@@ -36,19 +34,6 @@ func SetSweepParallelism(n int) {
 	sweepWorkers = n
 }
 
-// SetSweepTracer routes sweep-farm job lifecycle spans into tr (nil
-// detaches). Takes effect when the next scheduler is built, so call it
-// before the first sweep (or after SetSweepParallelism).
-func SetSweepTracer(tr *obs.Tracer) {
-	sweepMu.Lock()
-	defer sweepMu.Unlock()
-	if f := sweepFarmVar; f != nil {
-		sweepFarmVar = nil
-		go f.Close(context.Background())
-	}
-	sweepTracer = tr
-}
-
 // SweepFarm returns the shared sweep scheduler, building it on first use.
 // Its result cache is disabled: RunCached is the memoization layer, the
 // farm adds scheduling and in-flight dedup.
@@ -59,7 +44,6 @@ func SweepFarm() *farm.Farm {
 		sweepFarmVar = farm.New(farm.Config{
 			Workers:  sweepWorkers,
 			CacheCap: -1,
-			Tracer:   sweepTracer,
 		})
 	}
 	return sweepFarmVar

@@ -9,8 +9,8 @@ import (
 
 // Live telemetry for simulations in flight. Every instrument lives in the
 // process-wide telem registry (cmd/pimfarm serves it as /metrics) and is
-// fed exclusively from the gpu.Progress callback and end-of-frame
-// summaries — values the timing model already produced — so scraping a
+// fed exclusively from the gpu.Progress callback and a gpu.Observer's
+// frame ends — values the timing model already produced — so scraping a
 // running farm never perturbs simulated results.
 
 // bwGaugeBins is the histogram resolution used to summarize a bandwidth
@@ -18,10 +18,10 @@ import (
 const bwGaugeBins = 16
 
 // simTelemetry returns a gpu.Progress callback that mirrors one run's
-// in-flight state into per-design gauges/counters, plus a frame-end hook
-// that publishes the backend's bandwidth-meter utilizations. Both are
-// no-ops against an empty registry.
-func simTelemetry(design config.Design) (onProgress func(gpu.Progress), onFrameEnd func(backend interface{})) {
+// in-flight state into per-design gauges/counters, plus an observer that
+// publishes the frame-level backend's bandwidth-meter utilizations at
+// frame end. Both are no-ops against an empty registry.
+func simTelemetry(design config.Design) (onProgress func(gpu.Progress), onFrameEnd gpu.FrameEndFunc) {
 	r := telem.Default()
 	labels := telem.Labels{"design": design.String()}
 	inflight := r.Gauge("pim_sim_frames_inflight",
@@ -63,8 +63,8 @@ func simTelemetry(design config.Design) (onProgress func(gpu.Progress), onFrameE
 		cyclesG.Set(float64(pr.Cycles))
 	}
 
-	onFrameEnd = func(backend interface{}) {
-		hs, ok := backend.(obs.HistogramSource)
+	onFrameEnd = func(f gpu.FrameEnd) {
+		hs, ok := f.Backend.(obs.HistogramSource)
 		if !ok {
 			return
 		}

@@ -721,11 +721,8 @@ func (f *Farm) completeOne(j *Job, s State, v any, err error, now time.Time) {
 	// SSE consumer always sees the terminal "state" event before EOF.
 	j.publishState()
 	j.closeEvents()
-	close(j.done)
-	if j.cancel != nil {
-		j.cancel() // release the job context's resources
-	}
-
+	// Count the outcome before close(j.done) releases Do/Wait, so a caller
+	// that has seen its job finish also sees it in Counters.
 	switch s {
 	case Done:
 		f.done.Add(1)
@@ -736,6 +733,10 @@ func (f *Farm) completeOne(j *Job, s State, v any, err error, now time.Time) {
 	case Canceled:
 		f.canceled.Add(1)
 		f.met.canceled.Inc()
+	}
+	close(j.done)
+	if j.cancel != nil {
+		j.cancel() // release the job context's resources
 	}
 	f.jobsWG.Done()
 }

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -36,15 +37,15 @@ const (
 // fixed list of 64x64-pixel tile groups, each simulated hermetically on a
 // worker's private backend/path/caches, merged back in fixed group order.
 // Shards picks the goroutine count; NewWorker supplies each worker's
-// private memory system. The rendered image and every counter are
-// byte-identical at any shard count.
+// private memory system. The rendered image, every counter and everything
+// an Observer builds are byte-identical at any shard count.
 type Pipeline struct {
 	Cfg     config.Config
 	Backend mem.Backend
 	Path    TexturePath
 
 	// Shards is the number of worker goroutines draining the group list
-	// (<=1 means serial). It never changes simulated results.
+	// (<=1 means one). It never changes simulated results.
 	Shards int
 	// Progress, when set, receives stage-boundary and per-group completion
 	// reports while a frame is in flight. Fragment-stage reports arrive
@@ -54,13 +55,11 @@ type Pipeline struct {
 	Progress func(Progress)
 	// NewWorker builds a private (backend, path, internal-byte counter)
 	// triple for one worker. The counter may be nil (no internal memory).
-	// When NewWorker is nil the groups run serially on Backend/Path.
+	// It is required: every group runs on a worker's private units.
 	NewWorker func() (mem.Backend, TexturePath, func() uint64)
-	// Profiler, when set, collects a pim-render/frameprofile/v1 anatomy
-	// for every rendered frame: merged bandwidth timelines, per-supertile
-	// attribution, and stage spans. Like Progress it only reads values the
-	// timing model already produced and never changes simulated results.
-	Profiler *FrameProfiler
+	// Observer, when set, watches every frame at points whose order is
+	// fixed (see Observer). It never changes simulated results.
+	Observer Observer
 
 	fb      *Framebuffer
 	rast    *raster.Rasterizer
@@ -76,9 +75,6 @@ type Pipeline struct {
 	tanHalfFovX float32
 
 	scene *scene.Scene
-
-	// trace, when attached, records stage/group/cluster spans.
-	trace *obs.Tracer
 }
 
 // NewPipeline builds a pipeline for a WxH target. Backend and Path are
@@ -102,13 +98,6 @@ func NewPipeline(cfg config.Config, w, h int, backend mem.Backend, path TextureP
 // Framebuffer exposes the render target (for image dumps).
 func (p *Pipeline) Framebuffer() *Framebuffer { return p.fb }
 
-// SetTracer attaches a cycle-timeline tracer (obs.TraceAttacher). The
-// tracer only observes timestamps the timing model already produced, so
-// simulated cycle counts are identical with and without it.
-func (p *Pipeline) SetTracer(t *obs.Tracer) {
-	p.trace = t
-}
-
 // RenderFrame renders frame index `frame` of the scene and returns its
 // measurements. It is RenderFrameContext without cancellation.
 func (p *Pipeline) RenderFrame(s *scene.Scene, frame int) (*FrameResult, error) {
@@ -122,6 +111,9 @@ func (p *Pipeline) RenderFrame(s *scene.Scene, frame int) (*FrameResult, error) 
 func (p *Pipeline) RenderFrameContext(ctx context.Context, s *scene.Scene, frame int) (*FrameResult, error) {
 	if frame < 0 || frame >= len(s.Cameras) {
 		return nil, fmt.Errorf("gpu: frame %d out of range (%d cameras)", frame, len(s.Cameras))
+	}
+	if p.NewWorker == nil {
+		return nil, errors.New("gpu: Pipeline.NewWorker is not set")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -149,10 +141,6 @@ func (p *Pipeline) RenderFrameContext(ctx context.Context, s *scene.Scene, frame
 	ld := view.MulVec(vmath.Vec4{X: s.LightDir.X, Y: s.LightDir.Y, Z: s.LightDir.Z, W: 0})
 	p.fs = shader.NewFragmentProgram(shader.Vec{ld.X, ld.Y, ld.Z, 0}, s.Ambient)
 
-	if p.Profiler != nil {
-		p.Profiler.beginFrame()
-	}
-
 	// --- Geometry stage (serial, frame-level backend) ---
 	p.report(Progress{Frame: frame, Stage: StageGeometry})
 	geomDone := p.runGeometry(s, view)
@@ -162,14 +150,6 @@ func (p *Pipeline) RenderFrameContext(ctx context.Context, s *scene.Scene, frame
 	p.report(Progress{Frame: frame, Stage: StageSetup, Cycles: geomDone})
 	setupCycles, sts, groups := p.binTriangles(s, verts)
 	fragBase := geomDone + setupCycles
-
-	// Serial fallback runs the groups on the frame-level backend, which
-	// resetForGroup wipes — capture the geometry-stage timelines before
-	// they disappear. (With a worker factory the frame backend survives
-	// untouched until resolve, so one capture at frame end covers it.)
-	if p.Profiler != nil && p.NewWorker == nil {
-		p.Profiler.addSource(0, captureBackend(p.Backend, p.Profiler.bucketCount()))
-	}
 
 	// --- Fragment stage: hermetic tile groups, fork/join ---
 	p.report(Progress{Frame: frame, Stage: StageFragment, GroupsTotal: len(groups), Cycles: fragBase})
@@ -195,43 +175,17 @@ func (p *Pipeline) RenderFrameContext(ctx context.Context, s *scene.Scene, frame
 	}
 
 	// --- Deterministic merge in fixed group order ---
-	tracing := p.trace.On()
-	profiling := p.Profiler != nil
+	o := p.Observer
 	frameCaches := map[string]cache.Stats{}
 	offset := fragBase
 	for gi := range results {
 		gr := &results[gi]
 		p.traffic.Add(&gr.traffic)
-		p.activity.FragmentCount += gr.activity.FragmentCount
-		p.activity.ShaderInstrs += gr.activity.ShaderInstrs
-		p.activity.ZAccesses += gr.activity.ZAccesses
-		p.activity.ColorAccesses += gr.activity.ColorAccesses
-		p.activity.InternalBytes += gr.activity.InternalBytes
-		p.activity.Path.Add(gr.activity.Path)
+		p.activity.Add(gr.activity)
 		p.rast.AddStats(gr.raster)
-		for k, v := range gr.caches {
-			cur := frameCaches[k]
-			cur.Accesses += v.Accesses
-			cur.Hits += v.Hits
-			cur.Misses += v.Misses
-			cur.Evictions += v.Evictions
-			cur.Writebacks += v.Writebacks
-			cur.AngleRejects += v.AngleRejects
-			frameCaches[k] = cur
-		}
-		if tracing {
-			for _, e := range gr.events {
-				if e.ArgName != "" {
-					p.trace.SpanArg(e.Track, e.Name, e.Start+offset, e.End+offset, e.ArgName, e.Arg)
-				} else {
-					p.trace.Span(e.Track, e.Name, e.Start+offset, e.End+offset)
-				}
-			}
-			p.trace.SpanArg("groups", fmt.Sprintf("group %d", gi), offset, offset+gr.duration,
-				"fragments", int64(gr.activity.FragmentCount))
-		}
-		if profiling {
-			p.Profiler.addGroup(obs.GroupProfile{
+		addCaches(frameCaches, gr.caches)
+		if o != nil {
+			o.Group(obs.GroupProfile{
 				Index:        gi,
 				X:            groups[gi].x0,
 				Y:            groups[gi].y0,
@@ -241,8 +195,7 @@ func (p *Pipeline) RenderFrameContext(ctx context.Context, s *scene.Scene, frame
 				TexRequests:  gr.activity.Path.TexRequests,
 				TexelFetches: gr.activity.Path.GPUTexelFetches + gr.activity.Path.PIMTexelFetches,
 				OffChipBytes: gr.traffic.Total(),
-			})
-			p.Profiler.addSource(offset, gr.timelines)
+			}, gr.captured)
 		}
 		offset += gr.duration
 	}
@@ -255,25 +208,13 @@ func (p *Pipeline) RenderFrameContext(ctx context.Context, s *scene.Scene, frame
 	if b := p.Backend.BusyUntil(); b > total {
 		total = b
 	}
-	if tracing {
-		p.trace.Span("pipeline", "geometry", 0, geomDone)
-		p.trace.Span("pipeline", "setup", geomDone, fragBase)
-		p.trace.Span("pipeline", "fragment", fragBase, endCompute)
-		p.trace.Span("pipeline", "resolve", endCompute, resolveDone)
-		p.trace.SpanArg("frame", fmt.Sprintf("frame %d", frame), 0, total,
-			"fragments", int64(p.activity.FragmentCount))
-	}
-	if profiling {
-		// The frame-level backend's meters are already in absolute frame
-		// time: geometry traffic at its true cycles (factory mode) or just
-		// resolve traffic (serial fallback, where geometry was captured
-		// before the groups wiped the backend).
-		p.Profiler.addSource(0, captureBackend(p.Backend, p.Profiler.bucketCount()))
-		p.Profiler.addStage("geometry", 0, geomDone)
-		p.Profiler.addStage("setup", geomDone, fragBase)
-		p.Profiler.addStage("fragment", fragBase, endCompute)
-		p.Profiler.addStage("resolve", endCompute, total)
-		p.Profiler.endFrame(frame, p.fb.W, p.fb.H, total)
+	if o != nil {
+		o.FrameEnd(FrameEnd{
+			Frame: frame, Width: p.fb.W, Height: p.fb.H,
+			GeometryEnd: geomDone, SetupEnd: fragBase, FragmentEnd: endCompute,
+			ResolveEnd: resolveDone, Cycles: total, Fragments: p.activity.FragmentCount,
+			Traffic: p.traffic, Backend: p.Backend, Path: p.Path,
+		})
 	}
 
 	res := &FrameResult{

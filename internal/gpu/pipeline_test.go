@@ -1,12 +1,14 @@
 package gpu
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/dram"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/scene"
 	"repro/internal/texture"
 )
@@ -42,7 +44,11 @@ func newTestPipeline() (*Pipeline, *nullPath) {
 	cfg := config.Default(config.Baseline)
 	backend := dram.New(dram.DefaultConfig())
 	path := &nullPath{}
-	return NewPipeline(cfg, 160, 120, backend, path), path
+	p := NewPipeline(cfg, 160, 120, backend, path)
+	p.NewWorker = func() (mem.Backend, TexturePath, func() uint64) {
+		return dram.New(dram.DefaultConfig()), &nullPath{}, nil
+	}
+	return p, path
 }
 
 func TestRenderFrameProducesImage(t *testing.T) {
@@ -206,6 +212,10 @@ func TestViewAngleVariesAcrossScreen(t *testing.T) {
 	angles := map[float32]bool{}
 	path := &anglePath{angles: angles}
 	p := NewPipeline(cfg, 160, 120, backend, path)
+	// One worker (Shards unset), so the shared angle set needs no lock.
+	p.NewWorker = func() (mem.Backend, TexturePath, func() uint64) {
+		return dram.New(dram.DefaultConfig()), &anglePath{angles: angles}, nil
+	}
 	sc := testScene()
 	if _, err := p.RenderFrame(sc, 0); err != nil {
 		t.Fatal(err)
@@ -223,4 +233,88 @@ type anglePath struct {
 func (a *anglePath) Sample(now int64, req *TexRequest) TexResult {
 	a.angles[req.Foot.Angle] = true
 	return a.nullPath.Sample(now, req)
+}
+
+func TestRenderFrameRequiresWorkerFactory(t *testing.T) {
+	p, _ := newTestPipeline()
+	p.NewWorker = nil
+	if _, err := p.RenderFrame(testScene(), 0); err == nil {
+		t.Fatal("frame rendered without a worker factory")
+	}
+}
+
+// recordingObserver checks the Observer contract from the inside: its
+// worker side counts each group's tiles and hands the count over at group
+// end; the merge must see groups in index order, tiling the fragment
+// stage contiguously, each with the non-zero count its worker captured.
+type recordingObserver struct {
+	mu        sync.Mutex
+	workers   int
+	groups    []obs.GroupProfile
+	tiles     []int
+	frameEnds []FrameEnd
+}
+
+type tileCounter struct{ n int }
+
+func (c *tileCounter) Tile(cluster int, start, end int64) { c.n++ }
+func (c *tileCounter) GroupEnd() any {
+	n := c.n
+	c.n = 0
+	return n
+}
+
+func (r *recordingObserver) Worker(mem.Backend, TexturePath) WorkerObserver {
+	r.mu.Lock()
+	r.workers++
+	r.mu.Unlock()
+	return &tileCounter{}
+}
+
+func (r *recordingObserver) Group(g obs.GroupProfile, captured any) {
+	r.groups = append(r.groups, g)
+	r.tiles = append(r.tiles, captured.(int))
+}
+
+func (r *recordingObserver) FrameEnd(f FrameEnd) { r.frameEnds = append(r.frameEnds, f) }
+
+func TestObserverSeesFixedOrder(t *testing.T) {
+	p, _ := newTestPipeline()
+	p.Shards = 4
+	rec := &recordingObserver{}
+	var frameEnds int
+	p.Observer = Observers(rec, FrameEndFunc(func(FrameEnd) { frameEnds++ }))
+	res, err := p.RenderFrame(testScene(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.workers < 1 || rec.workers > 4 {
+		t.Fatalf("Worker called %d times, want 1..4", rec.workers)
+	}
+	if len(rec.frameEnds) != 1 || frameEnds != 1 {
+		t.Fatalf("FrameEnd calls: %d and %d, want 1 each", len(rec.frameEnds), frameEnds)
+	}
+	f := rec.frameEnds[0]
+	if f.Cycles != res.Cycles || f.Fragments != res.Activity.FragmentCount || f.Backend != p.Backend {
+		t.Fatalf("frame end %+v does not describe the result (cycles %d)", f, res.Cycles)
+	}
+	if len(rec.groups) == 0 {
+		t.Fatal("no groups merged")
+	}
+	next := f.SetupEnd
+	var frags uint64
+	for i, g := range rec.groups {
+		if g.Index != i || g.StartCycle != next || g.EndCycle < g.StartCycle {
+			t.Fatalf("group %d out of order: %+v (want start %d)", i, g, next)
+		}
+		if rec.tiles[i] == 0 {
+			t.Fatalf("group %d merged without its worker's tile count", i)
+		}
+		next = g.EndCycle
+		frags += g.Fragments
+	}
+	if next != f.FragmentEnd || frags != f.Fragments {
+		t.Fatalf("groups end at %d with %d fragments; frame says %d and %d",
+			next, frags, f.FragmentEnd, f.Fragments)
+	}
 }

@@ -1,8 +1,10 @@
 package gpu
 
 import (
+	"fmt"
 	"sort"
 
+	"repro/internal/mem"
 	"repro/internal/obs"
 )
 
@@ -12,49 +14,62 @@ import (
 // one group's span.
 const profileGroupBuckets = 64
 
-// FrameProfiler assembles pim-render/frameprofile/v1 frame anatomies while
-// a pipeline renders. The profiler is fed exclusively from the pipeline's
-// serial sections (stage boundaries and the deterministic merge loop);
-// shard workers capture their group-local meter timelines into the
-// groupResult instead, so profiling needs no locking and the artifact is
-// byte-identical at any shard count. Attach one via Pipeline.Profiler;
-// like tracing, it only reads values the timing model already produced
-// and can never perturb simulated results.
+// FrameProfiler is the Observer that assembles pim-render/frameprofile/v1
+// frame anatomies: each worker captures its group-local meter timelines
+// at group end, and the merge places them on the frame timeline in fixed
+// group order, so the artifact is byte-identical at any shard count.
 type FrameProfiler struct {
-	// Buckets is the frame-timeline resolution (<= 0 selects
-	// obs.DefaultTimelineBuckets).
-	Buckets int
-
 	frames []obs.FrameAnatomy
 
-	// Per-frame scratch, reset by beginFrame.
+	// Per-frame scratch, handed over or cleared at frame end.
 	sources []obs.PlacedTimeline
 	groups  []obs.GroupProfile
-	stages  []obs.StageSpan
 }
 
 // Frames returns the anatomies of every frame completed so far, in render
 // order.
-func (fp *FrameProfiler) Frames() []obs.FrameAnatomy {
-	if fp == nil {
-		return nil
-	}
-	return fp.frames
+func (fp *FrameProfiler) Frames() []obs.FrameAnatomy { return fp.frames }
+
+// Worker captures the worker backend's meter timelines at each group end.
+func (fp *FrameProfiler) Worker(backend mem.Backend, _ TexturePath) WorkerObserver {
+	return profileWorker{backend}
 }
 
-// bucketCount resolves the configured frame-timeline resolution.
-func (fp *FrameProfiler) bucketCount() int {
-	if fp.Buckets > 0 {
-		return fp.Buckets
-	}
-	return obs.DefaultTimelineBuckets
+// Group records the group's attribution and places its timelines at the
+// group's offset on the frame timeline.
+func (fp *FrameProfiler) Group(g obs.GroupProfile, captured any) {
+	fp.groups = append(fp.groups, g)
+	timelines, _ := captured.(map[string]obs.Timeline)
+	fp.addSource(g.StartCycle, timelines)
 }
 
-// beginFrame clears the per-frame scratch.
-func (fp *FrameProfiler) beginFrame() {
+// FrameEnd adds the frame-level backend's timelines (already in frame
+// time: geometry and resolve traffic), merges every source onto the frame
+// timeline and appends the finished anatomy.
+func (fp *FrameProfiler) FrameEnd(f FrameEnd) {
+	fp.addSource(0, captureBackend(f.Backend, obs.DefaultTimelineBuckets))
+	traffic := f.Traffic
+	if ts, ok := f.Path.(TrafficSource); ok {
+		traffic.Add(ts.Traffic())
+	}
+	fp.frames = append(fp.frames, obs.FrameAnatomy{
+		Frame:   f.Frame,
+		Width:   f.Width,
+		Height:  f.Height,
+		Cycles:  f.Cycles,
+		GroupPx: groupPx,
+		Stages: []obs.StageSpan{
+			{Name: "geometry", Start: 0, End: f.GeometryEnd},
+			{Name: "setup", Start: f.GeometryEnd, End: f.SetupEnd},
+			{Name: "fragment", Start: f.SetupEnd, End: f.FragmentEnd},
+			{Name: "resolve", Start: f.FragmentEnd, End: f.Cycles},
+		},
+		Timelines:    obs.MergeTimelines(fp.sources, f.Cycles, obs.DefaultTimelineBuckets),
+		Groups:       fp.groups,
+		TrafficBytes: trafficBytes(&traffic),
+	})
 	fp.sources = fp.sources[:0]
-	fp.groups = fp.groups[:0]
-	fp.stages = fp.stages[:0]
+	fp.groups = nil
 }
 
 // addSource places a backend's meter timelines at offset on the frame
@@ -62,9 +77,6 @@ func (fp *FrameProfiler) beginFrame() {
 // order in the final merge — and therefore the artifact — is
 // deterministic.
 func (fp *FrameProfiler) addSource(offset int64, timelines map[string]obs.Timeline) {
-	if len(timelines) == 0 {
-		return
-	}
 	names := make([]string, 0, len(timelines))
 	for name := range timelines {
 		names = append(names, name)
@@ -77,38 +89,36 @@ func (fp *FrameProfiler) addSource(offset int64, timelines map[string]obs.Timeli
 	}
 }
 
-// addGroup records one merged supertile group's attribution.
-func (fp *FrameProfiler) addGroup(g obs.GroupProfile) {
-	fp.groups = append(fp.groups, g)
-}
+// profileWorker is FrameProfiler's per-worker side.
+type profileWorker struct{ backend mem.Backend }
 
-// addStage records one pipeline stage span.
-func (fp *FrameProfiler) addStage(name string, start, end int64) {
-	fp.stages = append(fp.stages, obs.StageSpan{Name: name, Start: start, End: end})
-}
+func (profileWorker) Tile(int, int64, int64) {}
 
-// endFrame merges the collected sources onto the frame timeline and
-// appends the finished anatomy.
-func (fp *FrameProfiler) endFrame(frame, width, height int, total int64) {
-	buckets := fp.bucketCount()
-	a := obs.FrameAnatomy{
-		Frame:     frame,
-		Width:     width,
-		Height:    height,
-		Cycles:    total,
-		GroupPx:   groupPx,
-		Stages:    append([]obs.StageSpan(nil), fp.stages...),
-		Timelines: obs.MergeTimelines(fp.sources, total, buckets),
-		Groups:    append([]obs.GroupProfile(nil), fp.groups...),
-	}
-	fp.frames = append(fp.frames, a)
+// GroupEnd reads the group's meter timelines before the next group resets
+// the backend. Reading meters never mutates them.
+func (w profileWorker) GroupEnd() any {
+	return captureBackend(w.backend, profileGroupBuckets)
 }
 
 // captureBackend reads a backend's meter timelines, when it has any.
-func captureBackend(backend any, buckets int) map[string]obs.Timeline {
+func captureBackend(backend mem.Backend, buckets int) map[string]obs.Timeline {
 	ts, ok := backend.(obs.TimelineSource)
 	if !ok {
 		return nil
 	}
 	return ts.BandwidthTimelines(buckets)
+}
+
+// trafficBytes breaks traffic down by "<class>.<direction>", the
+// metrics/v1 counter naming, omitting zero entries.
+func trafficBytes(t *mem.Traffic) map[string]uint64 {
+	tb := map[string]uint64{}
+	for c := mem.Class(0); c < mem.NumClasses; c++ {
+		for _, k := range []mem.Kind{mem.Read, mem.Write} {
+			if b := t.Bytes(c, k); b > 0 {
+				tb[fmt.Sprintf("%s.%s", c, k)] = b
+			}
+		}
+	}
+	return tb
 }

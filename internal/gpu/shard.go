@@ -2,17 +2,16 @@ package gpu
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
-	"repro/internal/obs"
 	"repro/internal/raster"
 	"repro/internal/scene"
 	"repro/internal/shader"
+	"repro/internal/texture"
 )
 
 // groupTiles is the supertile edge in raster tiles: a group of
@@ -25,11 +24,6 @@ const groupTiles = 4
 
 // groupPx is the supertile edge in pixels.
 const groupPx = groupTiles * raster.TileSize
-
-// workerTraceCap bounds each worker's private span ring. Workers trace
-// into a private ring so group-local cycle stamps can be rebased onto the
-// frame timeline at merge time regardless of which goroutine ran the group.
-const workerTraceCap = 1 << 15
 
 // workItem is one tile of one setup triangle. Items within a group keep
 // the global triangle-then-tile scan order, so a tile's fragment sequence
@@ -47,24 +41,20 @@ type tileGroup struct {
 }
 
 // groupResult captures one hermetically simulated tile group: the group's
-// duration on the frame's fragment timeline, and every counter it
-// accumulated from local time zero.
+// duration on the frame's fragment timeline, every counter it accumulated
+// from local time zero, and what the worker's observer captured for it.
 type groupResult struct {
 	duration int64
 	traffic  mem.Traffic
 	activity Activity
 	raster   raster.Stats
 	caches   map[string]cache.Stats
-	events   []obs.Event
-	// timelines holds the worker backend's group-local bandwidth
-	// timelines when the frame is being profiled; the merge rebases them
-	// onto the frame timeline at the group's offset.
-	timelines map[string]obs.Timeline
+	captured any
 }
 
-// trafficSource matches texture paths that account their own memory
-// traffic separately from the pipeline's (mirrors internal/core).
-type trafficSource interface{ Traffic() *mem.Traffic }
+// TrafficSource matches texture paths that account their own memory
+// traffic separately from the pipeline's.
+type TrafficSource interface{ Traffic() *mem.Traffic }
 
 // shardWorker owns the complete mutable per-fragment machine state: a
 // private memory backend and texture path, private ROP caches, private
@@ -99,16 +89,13 @@ type shardWorker struct {
 	curNow     int64
 	curCluster int
 
-	// trace is a private ring holding group-local spans; nil when the
-	// frame is not being traced or the worker shares the frame backend.
-	trace        *obs.Tracer
-	clusterTrack []string
+	// observer watches this worker's groups; nil when the frame's
+	// Observer captures nothing per worker.
+	observer WorkerObserver
 }
 
-// newShardWorker builds a worker around a backend/path pair. ownsUnits is
-// true when backend/path are private to this worker (factory mode): only
-// then may a private tracer be attached to them for span rebasing.
-func newShardWorker(p *Pipeline, backend mem.Backend, path TexturePath, internalBytes func() uint64, ownsUnits bool) *shardWorker {
+// newShardWorker builds a worker around its private backend/path pair.
+func newShardWorker(p *Pipeline, backend mem.Backend, path TexturePath, internalBytes func() uint64) *shardWorker {
 	w := &shardWorker{
 		p:             p,
 		backend:       backend,
@@ -133,18 +120,8 @@ func newShardWorker(p *Pipeline, backend mem.Backend, path TexturePath, internal
 		w.inflight[i] = make([]int64, maxInflightPerCluster)
 	}
 	w.inflHead = make([]int, n)
-	if p.trace.On() && ownsUnits {
-		w.trace = obs.NewTracer(workerTraceCap)
-		w.clusterTrack = make([]string, n)
-		for i := range w.clusterTrack {
-			w.clusterTrack[i] = fmt.Sprintf("cluster%02d", i)
-		}
-		if ta, ok := backend.(obs.TraceAttacher); ok {
-			ta.SetTracer(w.trace)
-		}
-		if ta, ok := path.(obs.TraceAttacher); ok {
-			ta.SetTracer(w.trace)
-		}
+	if p.Observer != nil {
+		w.observer = p.Observer.Worker(backend, path)
 	}
 	return w
 }
@@ -171,7 +148,6 @@ func (w *shardWorker) resetForGroup() {
 	w.activity = Activity{}
 	w.machine = shader.Machine{}
 	w.machine.TexSample = w.texSample
-	w.trace.Reset()
 }
 
 // runGroup simulates one tile group from local cycle zero and captures its
@@ -179,7 +155,6 @@ func (w *shardWorker) resetForGroup() {
 // triangle table.
 func (w *shardWorker) runGroup(items []workItem, sts []raster.SetupTriangle) groupResult {
 	w.resetForGroup()
-	tracing := w.trace.On()
 	clusters := w.p.Cfg.GPU.Clusters
 	nextCluster := 0
 	for i := range items {
@@ -190,10 +165,8 @@ func (w *shardWorker) runGroup(items []workItem, sts []raster.SetupTriangle) gro
 		w.rast.ScanTile(&sts[it.st], it.tile, func(f *raster.Fragment) {
 			w.shadeFragment(f, cluster)
 		})
-		if tracing {
-			if tileEnd := int64(w.cursor[cluster]); tileEnd > tileStart {
-				w.trace.Span(w.clusterTrack[cluster], "tile", tileStart, tileEnd)
-			}
+		if w.observer != nil {
+			w.observer.Tile(cluster, tileStart, int64(w.cursor[cluster]))
 		}
 	}
 
@@ -216,7 +189,7 @@ func (w *shardWorker) runGroup(items []workItem, sts []raster.SetupTriangle) gro
 	}
 
 	gr := groupResult{duration: dur, traffic: w.traffic, raster: w.rast.Stats()}
-	if tr, ok := w.path.(trafficSource); ok {
+	if tr, ok := w.path.(TrafficSource); ok {
 		gr.traffic.Add(tr.Traffic())
 	}
 	gr.activity = w.activity
@@ -232,14 +205,8 @@ func (w *shardWorker) runGroup(items []workItem, sts []raster.SetupTriangle) gro
 	for k, v := range w.path.CacheStats() {
 		gr.caches[k] = v
 	}
-	if tracing {
-		gr.events = w.trace.Events()
-	}
-	// Profiling: capture the backend's group-local bandwidth timelines
-	// before the next group resets the worker. Reading meters never
-	// mutates them, so profiled and unprofiled runs stay byte-identical.
-	if w.p.Profiler != nil {
-		gr.timelines = captureBackend(w.backend, profileGroupBuckets)
+	if w.observer != nil {
+		gr.captured = w.observer.GroupEnd()
 	}
 	return gr
 }
@@ -303,12 +270,11 @@ func (w *shardWorker) texSample(sampler uint8, coords shader.Vec) shader.Vec {
 	texID := (w.curTex + int(sampler)) % len(p.scene.Textures)
 	tex := p.scene.Textures[texID]
 	scale := samplerUVScale(sampler)
-	grads := textureGradients(f)
-	grads.DUDX *= scale
-	grads.DVDX *= scale
-	grads.DUDY *= scale
-	grads.DVDY *= scale
-	foot := computeFootprint(tex, grads, p.effectiveMaxAniso())
+	grads := texture.Gradients{
+		DUDX: f.DUDX * scale, DVDX: f.DVDX * scale,
+		DUDY: f.DUDY * scale, DVDY: f.DVDY * scale,
+	}
+	foot := texture.ComputeFootprint(tex, grads, p.effectiveMaxAniso())
 	foot.Angle = f.ViewAngle
 	req := TexRequest{
 		Tex:     tex,
@@ -428,40 +394,13 @@ func (p *Pipeline) binTriangles(s *scene.Scene, verts []raster.Vertex) (int64, [
 	return setupCycles, sts, groups
 }
 
-// runGroups drains the fixed group list with p.Shards worker goroutines
-// and returns per-group results indexed in group order. Cancellation is
-// observed at group boundaries. onGroup, when non-nil, is called with
-// each group's duration as it completes (from worker goroutines in the
-// parallel path); it must not touch simulator state.
+// runGroups drains the fixed group list with p.Shards worker goroutines,
+// each on private units from p.NewWorker, and returns per-group results
+// indexed in group order. Cancellation is observed at group boundaries.
+// onGroup, when non-nil, is called with each group's duration as it
+// completes (from worker goroutines); it must not touch simulator state.
 func (p *Pipeline) runGroups(ctx context.Context, sts []raster.SetupTriangle, groups []tileGroup, onGroup func(int64)) ([]groupResult, error) {
 	results := make([]groupResult, len(groups))
-	if len(groups) == 0 {
-		return results, ctx.Err()
-	}
-
-	if p.NewWorker == nil {
-		// No worker factory: run every group serially on the frame-level
-		// backend/path. Still hermetic and deterministic (the units are
-		// reset around each group), but a single goroutine regardless of
-		// Shards since the units cannot be replicated.
-		w := newShardWorker(p, p.Backend, p.Path, nil, false)
-		for g := range groups {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			results[g] = w.runGroup(groups[g].items, sts)
-			if onGroup != nil {
-				onGroup(results[g].duration)
-			}
-		}
-		// Leave the shared units clean so frame-level consumers (resolve,
-		// path traffic readers) do not observe — or double count — the
-		// last group's state.
-		w.backend.Reset()
-		w.path.Reset()
-		return results, nil
-	}
-
 	shards := p.Shards
 	if shards < 1 {
 		shards = 1
@@ -476,7 +415,7 @@ func (p *Pipeline) runGroups(ctx context.Context, sts []raster.SetupTriangle, gr
 		go func() {
 			defer wg.Done()
 			backend, path, internalBytes := p.NewWorker()
-			w := newShardWorker(p, backend, path, internalBytes, true)
+			w := newShardWorker(p, backend, path, internalBytes)
 			for {
 				if ctx.Err() != nil {
 					return

@@ -152,6 +152,19 @@ type Activity struct {
 	Cycles int64
 }
 
+// Add merges o into a.
+func (a *Activity) Add(o Activity) {
+	a.VertexCount += o.VertexCount
+	a.FragmentCount += o.FragmentCount
+	a.ShaderInstrs += o.ShaderInstrs
+	a.ZAccesses += o.ZAccesses
+	a.ColorAccesses += o.ColorAccesses
+	a.ExternalBytes += o.ExternalBytes
+	a.InternalBytes += o.InternalBytes
+	a.Cycles += o.Cycles
+	a.Path.Add(o.Path)
+}
+
 // FrameResult is everything measured while rendering one frame.
 type FrameResult struct {
 	// Width, Height are the frame dimensions.
@@ -172,6 +185,15 @@ type FrameResult struct {
 	Image []uint32
 }
 
+// addCaches accumulates per-cache statistics from src into dst.
+func addCaches(dst, src map[string]cache.Stats) {
+	for k, v := range src {
+		cur := dst[k]
+		cur.Add(v)
+		dst[k] = cur
+	}
+}
+
 // TexFilterLatency returns the mean texture filtering latency.
 func (r *FrameResult) TexFilterLatency() float64 { return r.Activity.Path.MeanLatency() }
 
@@ -189,28 +211,11 @@ func (r *FrameResult) Accumulate(o *FrameResult) {
 	r.GeometryCycles += o.GeometryCycles
 	r.FragmentCycles += o.FragmentCycles
 	r.Traffic.Add(&o.Traffic)
-	r.Activity.VertexCount += o.Activity.VertexCount
-	r.Activity.FragmentCount += o.Activity.FragmentCount
-	r.Activity.ShaderInstrs += o.Activity.ShaderInstrs
-	r.Activity.ZAccesses += o.Activity.ZAccesses
-	r.Activity.ColorAccesses += o.Activity.ColorAccesses
-	r.Activity.ExternalBytes += o.Activity.ExternalBytes
-	r.Activity.InternalBytes += o.Activity.InternalBytes
-	r.Activity.Cycles += o.Activity.Cycles
-	r.Activity.Path.Add(o.Activity.Path)
+	r.Activity.Add(o.Activity)
 	if r.Caches == nil {
 		r.Caches = map[string]cache.Stats{}
 	}
-	for k, v := range o.Caches {
-		cur := r.Caches[k]
-		cur.Accesses += v.Accesses
-		cur.Hits += v.Hits
-		cur.Misses += v.Misses
-		cur.Evictions += v.Evictions
-		cur.Writebacks += v.Writebacks
-		cur.AngleRejects += v.AngleRejects
-		r.Caches[k] = cur
-	}
+	addCaches(r.Caches, o.Caches)
 	// Keep the last frame's image.
 	r.Image = o.Image
 	r.Width, r.Height = o.Width, o.Height

@@ -150,8 +150,8 @@ func (t *Tracer) Reset() {
 	t.mu.Unlock()
 }
 
-// TraceAttacher is implemented by simulator components (backends, texture
-// paths, the pipeline) that can route their spans into a tracer.
+// TraceAttacher is implemented by simulator components (memory backends
+// and texture paths) that can route their spans into a tracer.
 type TraceAttacher interface {
 	SetTracer(*Tracer)
 }
