@@ -15,6 +15,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Config describes a cache instance.
@@ -85,24 +86,30 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
+// line is one way of a set. lastUse is the LRU tick of the line's latest
+// access; it is 0 exactly when the line is invalid, because every access
+// advances the tick before stamping a line.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	angle float32
-	data  []uint32
+	tag     uint64
+	lastUse uint64
+	angle   float32
+	valid   bool
+	dirty   bool
 }
 
 // Cache is a set-associative cache. It is not safe for concurrent use; the
 // simulator drives each cache from a single goroutine.
 type Cache struct {
 	cfg       Config
-	sets      int
+	ways      int
 	setMask   uint64
 	lineShift uint
-	lines     []line // sets*ways, way-major within a set
+	tagShift  uint     // log2(sets): line address bits that pick the set
+	lines     []line   // sets*ways, way-major within a set
+	words     int      // payload words per line when DataLines, else 0
+	data      []uint32 // line i's payload is data[i*words : (i+1)*words]
 	lruTick   uint64
-	lru       []uint64 // last-use tick per line
+	mru       int // index of the most recently accessed line
 	stats     Stats
 }
 
@@ -115,30 +122,17 @@ func New(cfg Config) *Cache {
 	sets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
 	c := &Cache{
 		cfg:       cfg,
-		sets:      sets,
+		ways:      cfg.Ways,
 		setMask:   uint64(sets - 1),
-		lineShift: uint(bitsFor(cfg.LineBytes)),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		tagShift:  uint(bits.TrailingZeros(uint(sets))),
 		lines:     make([]line, sets*cfg.Ways),
-		lru:       make([]uint64, sets*cfg.Ways),
 	}
 	if cfg.DataLines {
-		// One backing array for every line's payload; the full-slice
-		// expression caps each line so it cannot grow into its neighbour.
-		words := cfg.LineBytes / 4
-		data := make([]uint32, len(c.lines)*words)
-		for i := range c.lines {
-			c.lines[i].data = data[i*words : (i+1)*words : (i+1)*words]
-		}
+		c.words = cfg.LineBytes / 4
+		c.data = make([]uint32, len(c.lines)*c.words)
 	}
 	return c
-}
-
-func bitsFor(v int) int {
-	n := 0
-	for 1<<n < v {
-		n++
-	}
-	return n
 }
 
 // Config returns the cache's configuration.
@@ -149,36 +143,39 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset invalidates every line and zeroes statistics.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i].valid = false
-		c.lines[i].dirty = false
-	}
-	for i := range c.lru {
-		c.lru[i] = 0
-	}
+	clear(c.lines)
 	c.lruTick = 0
 	c.stats = Stats{}
 }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	l := addr >> c.lineShift
-	return int(l & c.setMask), l >> uint(bitsFor(c.sets))
+	return int(l & c.setMask), l >> c.tagShift
 }
 
-// Result describes the outcome of one cache access.
+// Result describes the outcome of one cache access. It keeps to four
+// top-level fields, the most the compiler holds in registers: a fifth
+// would spill every returned Result to the stack, and reading it back
+// stalls on store forwarding at every access.
 type Result struct {
 	// Hit is true when the line was present (and, if an angle threshold was
 	// supplied, the stored angle was within the threshold).
 	Hit bool
-	// Writeback is true when a dirty victim must be written to memory.
-	Writeback bool
-	// VictimAddr is the line address of the evicted victim when Writeback.
-	VictimAddr uint64
 	// AngleRejected is true when the line was present but the camera angle
 	// differed by more than the threshold, forcing a recalculation miss.
 	AngleRejected bool
 	// LineIndex identifies the (filled or hit) line for payload access.
 	LineIndex int
+	// Victim reports the dirty line a fill evicted (Writeback, VictimAddr).
+	Victim
+}
+
+// Victim describes the line a miss evicted, when it must be written back.
+type Victim struct {
+	// Writeback is true when a dirty victim must be written to memory.
+	Writeback bool
+	// VictimAddr is the line address of the evicted victim when Writeback.
+	VictimAddr uint64
 }
 
 // Access looks up addr; on a miss the line is filled (allocate-on-miss for
@@ -196,81 +193,69 @@ func (c *Cache) AccessAngle(addr uint64, write bool, angle float32, angleThresho
 	c.stats.Accesses++
 	c.lruTick++
 	set, tag := c.index(addr)
-	base := set * c.cfg.Ways
+	base := set * c.ways
+	ways := c.lines[base : base+c.ways]
 
-	// Lookup.
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == tag {
-			if angleThreshold >= 0 && c.cfg.AngleTags {
-				if angleDiff(ln.angle, angle) > angleThreshold {
-					// Present but stale for this viewing angle: recalculate.
-					c.stats.AngleRejects++
-					c.stats.Misses++
-					ln.angle = angle
-					if write {
-						ln.dirty = c.cfg.WriteBack
-					}
-					c.lru[base+w] = c.lruTick
-					return Result{Hit: false, AngleRejected: true, LineIndex: base + w}
-				}
+	// Lookup, trying the most recently used line first: consecutive
+	// accesses usually share one line (the texels of a 2x2 quad, the Z and
+	// color of neighbouring fragments). A tag is in a set at most once, so
+	// the shortcut finds the line the scan would.
+	w := c.mru - base
+	if uint(w) >= uint(len(ways)) || !ways[w].valid || ways[w].tag != tag {
+		for w = 0; w < len(ways); w++ {
+			if ways[w].valid && ways[w].tag == tag {
+				break
 			}
-			c.stats.Hits++
-			if write {
-				ln.dirty = c.cfg.WriteBack
-			}
-			c.lru[base+w] = c.lruTick
-			return Result{Hit: true, LineIndex: base + w}
 		}
 	}
+	if w < len(ways) {
+		ln := &ways[w]
+		c.mru = base + w
+		ln.lastUse = c.lruTick
+		if write {
+			ln.dirty = c.cfg.WriteBack
+		}
+		if angleThreshold >= 0 && c.cfg.AngleTags && angleDiff(ln.angle, angle) > angleThreshold {
+			// Present but stale for this viewing angle: recalculate.
+			c.stats.AngleRejects++
+			c.stats.Misses++
+			ln.angle = angle
+			return Result{Hit: false, AngleRejected: true, LineIndex: base + w}
+		}
+		c.stats.Hits++
+		return Result{Hit: true, LineIndex: base + w}
+	}
 
-	// Miss: choose victim (invalid first, else LRU).
+	// Miss: the victim is the first way with the oldest lastUse, which is
+	// the first invalid way when there is one, else the LRU way.
 	c.stats.Misses++
-	victim := -1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if !c.lines[base+w].valid {
-			victim = base + w
-			break
+	v := 0
+	for w := 1; w < len(ways); w++ {
+		if ways[w].lastUse < ways[v].lastUse {
+			v = w
 		}
 	}
-	res := Result{}
-	if victim < 0 {
-		victim = base
-		oldest := c.lru[base]
-		for w := 1; w < c.cfg.Ways; w++ {
-			if c.lru[base+w] < oldest {
-				oldest = c.lru[base+w]
-				victim = base + w
-			}
-		}
+	ln := &ways[v]
+	res := Result{LineIndex: base + v}
+	if ln.valid {
 		c.stats.Evictions++
-		if c.lines[victim].dirty {
+		if ln.dirty {
 			c.stats.Writebacks++
 			res.Writeback = true
-			res.VictimAddr = c.lineAddrOf(set, c.lines[victim].tag)
+			res.VictimAddr = c.lineAddrOf(set, ln.tag)
 		}
 	}
-	ln := &c.lines[victim]
-	ln.valid = true
-	ln.tag = tag
-	ln.dirty = write && c.cfg.WriteBack
-	ln.angle = angle
-	if ln.data != nil {
-		for i := range ln.data {
-			ln.data[i] = 0
-		}
-	}
-	c.lru[victim] = c.lruTick
-	res.LineIndex = victim
+	*ln = line{tag: tag, lastUse: c.lruTick, angle: angle, valid: true, dirty: write && c.cfg.WriteBack}
+	clear(c.payload(res.LineIndex))
+	c.mru = res.LineIndex
 	return res
 }
 
 // Probe reports whether addr is present without updating LRU or counters.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.index(addr)
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
+	base := set * c.ways
+	for _, ln := range c.lines[base : base+c.ways] {
 		if ln.valid && ln.tag == tag {
 			return true
 		}
@@ -279,25 +264,30 @@ func (c *Cache) Probe(addr uint64) bool {
 }
 
 func (c *Cache) lineAddrOf(set int, tag uint64) uint64 {
-	return (tag<<uint(bitsFor(c.sets)) | uint64(set)) << c.lineShift
+	return (tag<<c.tagShift | uint64(set)) << c.lineShift
+}
+
+// payload returns the data words of line i (empty without DataLines).
+func (c *Cache) payload(i int) []uint32 {
+	return c.data[i*c.words : (i+1)*c.words]
 }
 
 // Word returns the 32-bit payload word at byte offset off within the line
 // identified by a previous Result.LineIndex. Requires DataLines.
 func (c *Cache) Word(lineIndex int, off int) uint32 {
-	return c.lines[lineIndex].data[off/4]
+	return c.payload(lineIndex)[off/4]
 }
 
 // SetWord stores a 32-bit payload word at byte offset off within the line.
 func (c *Cache) SetWord(lineIndex int, off int, v uint32) {
-	c.lines[lineIndex].data[off/4] = v
+	c.payload(lineIndex)[off/4] = v
 }
 
 // WordValid reports whether a payload word has been stored (non-zero tagging
 // is handled by callers; the texture path stores texels with alpha >= 1 so a
 // zero word means "not yet computed").
 func (c *Cache) WordValid(lineIndex, off int) bool {
-	return c.lines[lineIndex].data[off/4] != 0
+	return c.payload(lineIndex)[off/4] != 0
 }
 
 // Angle returns the stored camera angle of a line.
@@ -310,7 +300,7 @@ func (c *Cache) FlushDirty() []uint64 {
 	for i := range c.lines {
 		ln := &c.lines[i]
 		if ln.valid && ln.dirty {
-			set := i / c.cfg.Ways
+			set := i / c.ways
 			out = append(out, c.lineAddrOf(set, ln.tag))
 			ln.dirty = false
 			c.stats.Writebacks++

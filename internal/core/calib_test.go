@@ -30,7 +30,7 @@ func TestCalibHighRes(t *testing.T) {
 		}
 		p := res.Frame.Activity.Path
 		psnr, _ := quality.PSNR(base.Image, res.Image)
-		t.Logf("%s: renderX=%.2f texX=%.2f trafficX=%.2f recalcs=%d offloads=%d psnr=%.1f lat=%.0f(q=%.0f m=%.0f) dbg[%s]",
+		t.Logf("%s: renderX=%.2f texX=%.2f trafficX=%.2f recalcs=%d offloads=%d psnr=%.1f lat=%.0f(q=%.0f m=%.0f)",
 			th.Label,
 			float64(base.Cycles())/float64(res.Cycles()),
 			bp.FilterTime()/p.FilterTime(),
@@ -38,8 +38,7 @@ func TestCalibHighRes(t *testing.T) {
 			p.AngleRecalcs, p.OffloadPackets, psnr,
 			p.MeanLatency(),
 			float64(p.QueueCycles)/float64(p.TexRequests),
-			float64(p.MemCycles)/float64(p.TexRequests),
-			res.PathDebug())
+			float64(p.MemCycles)/float64(p.TexRequests))
 		t.Logf("   internalBytes=%dMB (%.0f B/cy) pimTexels=%d consolidated=%d",
 			res.Frame.Activity.InternalBytes/(1<<20),
 			float64(res.Frame.Activity.InternalBytes)/float64(res.Cycles()),

@@ -89,7 +89,6 @@ type Result struct {
 	// Image is the last rendered frame.
 	Image []uint32
 
-	path    gpu.TexturePath
 	backend mem.Backend
 
 	// storedMetrics is the embedded pim-render/metrics/v1 snapshot of a
@@ -101,14 +100,6 @@ type Result struct {
 // Restored reports whether the result was loaded from the durable store
 // rather than simulated in this process.
 func (r *Result) Restored() bool { return r.storedMetrics != nil }
-
-// PathDebug returns the texture path's diagnostic string, if it has one.
-func (r *Result) PathDebug() string {
-	if d, ok := r.path.(interface{ DebugString() string }); ok {
-		return d.DebugString()
-	}
-	return ""
-}
 
 // TextureTraffic returns the texture-class bytes moved between GPU and
 // memory (the Fig. 12 metric).
@@ -316,11 +307,6 @@ func runScene(ctx context.Context, sc *scene.Scene, wl workload.Workload, cfg co
 		if err != nil {
 			return nil, err
 		}
-		// Merge the frame-level texture path's traffic into the frame
-		// traffic (worker-path traffic is already folded in per group).
-		if tr, ok := path.(gpu.TrafficSource); ok {
-			res.Traffic.Add(tr.Traffic())
-		}
 		// Fill the external/internal byte counts for the energy model; the
 		// pipeline already merged the worker cubes' internal bytes, the
 		// frame-level cube adds the geometry/resolve share.
@@ -358,7 +344,6 @@ func runScene(ctx context.Context, sc *scene.Scene, wl workload.Workload, cfg co
 		Frame:    acc,
 		Energy:   bd,
 		Image:    acc.Image,
-		path:     path,
 		backend:  backend,
 	}, nil
 }

@@ -33,9 +33,6 @@ func TestInstrumentation(t *testing.T) {
 			offLat = float64(p.OffloadLatencySum) / float64(p.OffloadPackets)
 		}
 		t.Logf("offloads=%d offLat=%.1f responses=%d angleRecalcs=%d", p.OffloadPackets, offLat, p.ResponsePackets, p.AngleRecalcs)
-		if dbg := res.PathDebug(); dbg != "" {
-			t.Logf("offload stages: %s", dbg)
-		}
 		t.Logf("texTrafficKB=%d totalTrafficKB=%d", f.Traffic.TextureBytes()/1024, f.Traffic.Total()/1024)
 		for name, cs := range f.Caches {
 			t.Logf("cache %s: acc=%d hit=%.3f angleRej=%d", name, cs.Accesses, cs.HitRate(), cs.AngleRejects)

@@ -88,6 +88,9 @@ type shardWorker struct {
 	curDone    int64
 	curNow     int64
 	curCluster int
+	// req is texSample's request, kept on the worker so it does not
+	// escape to the heap; no path keeps the pointer past Sample.
+	req TexRequest
 
 	// observer watches this worker's groups; nil when the frame's
 	// Observer captures nothing per worker.
@@ -276,14 +279,14 @@ func (w *shardWorker) texSample(sampler uint8, coords shader.Vec) shader.Vec {
 	}
 	foot := texture.ComputeFootprint(tex, grads, p.effectiveMaxAniso())
 	foot.Angle = f.ViewAngle
-	req := TexRequest{
+	w.req = TexRequest{
 		Tex:     tex,
 		U:       coords[0],
 		V:       coords[1],
 		Foot:    foot,
 		Cluster: w.curCluster,
 	}
-	res := w.path.Sample(w.curNow, &req)
+	res := w.path.Sample(w.curNow, &w.req)
 	if res.Done > w.curDone {
 		w.curDone = res.Done
 	}

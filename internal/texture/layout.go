@@ -1,5 +1,7 @@
 package texture
 
+import "math/bits"
+
 // Layout selects how texels map to byte addresses within a mip level.
 // GPUs store textures in tiled/swizzled layouts so that a cache line holds
 // a 2D block of texels; the simulator models both for the ablation study.
@@ -75,25 +77,15 @@ func inverseTexelIndex(layout Layout, w, h, idx int) (x, y int) {
 // texelIndex returns the texel's index (in texels, not bytes) within a
 // level of width w and height h under the given layout. For Morton order on
 // non-square levels, the square Morton block covers min(w,h) and the longer
-// axis is tiled.
+// axis is tiled. Level sizes are powers of two (NewTexture enforces it), so
+// the tile split is a shift and a mask; a 1-texel-wide level degenerates to
+// row-major order. x and y must lie inside the level.
 func texelIndex(layout Layout, w, h, x, y int) int {
 	if layout == LayoutLinear {
 		return y*w + x
 	}
-	// Morton over the square min dimension, tiles of sq x sq along the
-	// longer axis.
-	sq := w
-	if h < sq {
-		sq = h
-	}
-	if sq <= 1 {
-		return y*w + x
-	}
-	tileX := x / sq
-	tileY := y / sq
-	inX := uint32(x % sq)
-	inY := uint32(y % sq)
-	tilesPerRow := w / sq
-	tile := tileY*tilesPerRow + tileX
-	return tile*sq*sq + int(MortonEncode(inX, inY))
+	s := bits.TrailingZeros(uint(min(w, h)))
+	m := 1<<s - 1
+	tile := (y>>s)*(w>>s) + x>>s
+	return tile<<(2*s) + int(MortonEncode(uint32(x&m), uint32(y&m)))
 }

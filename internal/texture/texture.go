@@ -56,17 +56,10 @@ func NewTexture(id int, name string, w, h int, layout Layout, wrap WrapMode) *Te
 		if w == 1 && h == 1 {
 			break
 		}
-		w = maxInt(1, w/2)
-		h = maxInt(1, h/2)
+		w = max(1, w/2)
+		h = max(1, h/2)
 	}
 	return t
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // NumLevels returns the mip chain length.
@@ -104,26 +97,13 @@ func (t *Texture) AssignAddresses(base uint64) uint64 {
 }
 
 // wrapCoord maps a possibly out-of-range texel coordinate into [0, n).
+// n is a power of two, so repeat wrapping is a mask, which is exact for
+// negative v too.
 func wrapCoord(mode WrapMode, v, n int) int {
-	if n <= 1 {
-		return 0
+	if mode == WrapClamp {
+		return min(max(v, 0), n-1)
 	}
-	switch mode {
-	case WrapClamp:
-		if v < 0 {
-			return 0
-		}
-		if v >= n {
-			return n - 1
-		}
-		return v
-	default: // repeat
-		v %= n
-		if v < 0 {
-			v += n
-		}
-		return v
-	}
+	return v & (n - 1)
 }
 
 // SetTexel stores a color at (x, y) of level lv (coordinates must be in
@@ -248,8 +228,8 @@ func (t *Texture) BuildMipmaps() {
 		for y := 0; y < dst.H; y++ {
 			for x := 0; x < dst.W; x++ {
 				x0, y0 := x*2, y*2
-				x1 := minInt(x0+1, src.W-1)
-				y1 := minInt(y0+1, src.H-1)
+				x1 := min(x0+1, src.W-1)
+				y1 := min(y0+1, src.H-1)
 				c := t.levelTexel(src, x0, y0).
 					Add(t.levelTexel(src, x1, y0)).
 					Add(t.levelTexel(src, x0, y1)).
@@ -263,13 +243,6 @@ func (t *Texture) BuildMipmaps() {
 
 func (t *Texture) levelTexel(l *Level, x, y int) Color {
 	return Unpack(l.Pix[texelIndex(t.Layout, l.W, l.H, x, y)])
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Log2 returns log2(v) for float32 inputs (used for LOD computation).

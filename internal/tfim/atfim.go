@@ -1,8 +1,6 @@
 package tfim
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/gpu"
@@ -69,9 +67,6 @@ type ATFIMPath struct {
 	// paper sizes the PTB to match the memory request queue precisely so
 	// it does not become a bottleneck).
 	ptb []*bufferTiming
-
-	// Offload stage-latency diagnostics (cycles summed per stage).
-	dbgPTBWait, dbgLinkUp, dbgVault, dbgLinkDown int64
 
 	trace        *obs.Tracer
 	offloadTrack []string
@@ -353,10 +348,6 @@ func (a *ATFIMPath) offload(now int64, unit int, req *gpu.TexRequest) int64 {
 			"parents", int64(len(missing)))
 	}
 	a.act.OffloadLatencySum += done - now
-	a.dbgPTBWait += start - now
-	a.dbgLinkUp += arrive - start
-	a.dbgVault += filtered - arrive
-	a.dbgLinkDown += done - filtered
 	return done
 }
 
@@ -422,18 +413,6 @@ func (a *ATFIMPath) fetchChild(tex *texture.Texture, level, x, y int) texture.Co
 // EndFrame implements gpu.TexturePath.
 func (a *ATFIMPath) EndFrame(now int64) int64 { return now }
 
-// DebugString reports per-stage mean offload latencies (diagnostics).
-func (a *ATFIMPath) DebugString() string {
-	n := a.act.OffloadPackets
-	if n == 0 {
-		return ""
-	}
-	f := float64(n)
-	return fmt.Sprintf("ptbWait=%.1f linkUp=%.1f vault=%.1f linkDown=%.1f",
-		float64(a.dbgPTBWait)/f, float64(a.dbgLinkUp)/f,
-		float64(a.dbgVault)/f, float64(a.dbgLinkDown)/f)
-}
-
 // Activity implements gpu.TexturePath.
 func (a *ATFIMPath) Activity() gpu.PathActivity { return a.act }
 
@@ -442,14 +421,9 @@ func (a *ATFIMPath) Traffic() *mem.Traffic { return &a.traffic }
 
 // CacheStats implements gpu.TexturePath.
 func (a *ATFIMPath) CacheStats() map[string]cache.Stats {
-	agg := cache.Stats{}
+	var agg cache.Stats
 	for _, c := range a.l1 {
-		s := c.Stats()
-		agg.Accesses += s.Accesses
-		agg.Hits += s.Hits
-		agg.Misses += s.Misses
-		agg.Evictions += s.Evictions
-		agg.AngleRejects += s.AngleRejects
+		agg.Add(c.Stats())
 	}
 	return map[string]cache.Stats{"texL1": agg, "texL2": a.l2.Stats()}
 }

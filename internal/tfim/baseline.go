@@ -77,32 +77,24 @@ func (b *BaselinePath) SetTracer(t *obs.Tracer) {
 func (b *BaselinePath) fetchTexel(t *texture.Texture, level, x, y int) texture.Color {
 	b.curTexels++
 	b.act.GPUTexelFetches++
-	addr := t.TexelAddr(level, x, y)
-	unit := b.curUnit
+	addr, c := t.TexelAndAddr(level, x, y)
 	b.act.L1Accesses++
-	if r := b.l1[unit].Access(addr, false); r.Hit {
-		if done := b.curIssue + l1HitLatency; done > b.curMaxMem {
-			b.curMaxMem = done
-		}
-		return t.Texel(level, x, y)
+	if b.l1[b.curUnit].Access(addr, false).Hit {
+		b.curMaxMem = max(b.curMaxMem, b.curIssue+l1HitLatency)
+		return c
 	}
 	b.act.L2Accesses++
-	if r := b.l2.Access(addr, false); r.Hit {
-		if done := b.curIssue + l2HitLatency; done > b.curMaxMem {
-			b.curMaxMem = done
-		}
-		return t.Texel(level, x, y)
+	if b.l2.Access(addr, false).Hit {
+		b.curMaxMem = max(b.curMaxMem, b.curIssue+l2HitLatency)
+		return c
 	}
 	// L2 miss: fetch the line from memory.
-	line := mem.LineAddr(addr)
 	done := b.backend.Access(b.curIssue, mem.Request{
-		Addr: line, Size: mem.LineSize, Class: mem.ClassTexture, Kind: mem.Read,
+		Addr: mem.LineAddr(addr), Size: mem.LineSize, Class: mem.ClassTexture, Kind: mem.Read,
 	})
 	b.traffic.Record(mem.ClassTexture, mem.Read, mem.LineSize+mem.RequestOverheadBytes)
-	if done > b.curMaxMem {
-		b.curMaxMem = done
-	}
-	return t.Texel(level, x, y)
+	b.curMaxMem = max(b.curMaxMem, done)
+	return c
 }
 
 // Sample implements gpu.TexturePath: the conventional filter order of
@@ -163,13 +155,9 @@ func (b *BaselinePath) Traffic() *mem.Traffic { return &b.traffic }
 
 // CacheStats implements gpu.TexturePath.
 func (b *BaselinePath) CacheStats() map[string]cache.Stats {
-	agg := cache.Stats{}
+	var agg cache.Stats
 	for _, c := range b.l1 {
-		s := c.Stats()
-		agg.Accesses += s.Accesses
-		agg.Hits += s.Hits
-		agg.Misses += s.Misses
-		agg.Evictions += s.Evictions
+		agg.Add(c.Stats())
 	}
 	return map[string]cache.Stats{"texL1": agg, "texL2": b.l2.Stats()}
 }

@@ -2,11 +2,12 @@ package tfim
 
 import "math/bits"
 
-// granuleTable maps the internal-fetch granules of one offload to the
-// cycle their vault access completes (the Child Texel Consolidation's
-// "already fetched" set). It is open-addressed with linear probing, and
-// every slot carries the epoch that wrote it, so reset empties the table in
-// O(1) and its storage is reused across offloads without allocating.
+// granuleTable maps the internal-fetch granules of one A-TFIM offload or
+// one S-TFIM request to the cycle their vault access completes (the
+// "already fetched" set the Child Texel Consolidation and the MTU keep).
+// It is open-addressed with linear probing, and every slot carries the
+// epoch that wrote it, so reset empties the table in O(1) and its storage
+// is reused across offloads without allocating.
 type granuleTable struct {
 	slots []granuleSlot
 	shift uint   // 64 - log2(len(slots)), for Fibonacci hashing

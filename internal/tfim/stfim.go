@@ -37,14 +37,14 @@ type STFIMPath struct {
 	curArrive int64
 	curMaxMem int64
 	curTexels int
-	// lineSeen consolidates per-request texel fetches into unique lines
-	// (the MTU coalesces fetches belonging to one request).
-	lineSeen map[uint64]int64
+	// granules consolidates per-request texel fetches into unique
+	// granules (the MTU coalesces fetches belonging to one request).
+	granules granuleTable
 }
 
 // NewSTFIMPath builds the S-TFIM path over the cube.
 func NewSTFIMPath(cfg config.Config, cube hmc.Cube) *STFIMPath {
-	s := &STFIMPath{cfg: cfg, cube: cube, lineSeen: make(map[uint64]int64, 64)}
+	s := &STFIMPath{cfg: cfg, cube: cube}
 	for i := 0; i < cfg.TFIM.MTUs; i++ {
 		s.mtus = append(s.mtus, newUnitTiming(cfg.TFIM.RequestQueueEntries))
 	}
@@ -75,22 +75,19 @@ const internalGranule = 16
 func (s *STFIMPath) fetchTexel(t *texture.Texture, level, x, y int) texture.Color {
 	s.curTexels++
 	s.act.PIMTexelFetches++
-	g := t.TexelAddr(level, x, y) &^ uint64(internalGranule-1)
-	if done, ok := s.lineSeen[g]; ok {
-		if done > s.curMaxMem {
-			s.curMaxMem = done
-		}
+	addr, c := t.TexelAndAddr(level, x, y)
+	g := addr &^ uint64(internalGranule-1)
+	if done, ok := s.granules.get(g); ok {
+		s.curMaxMem = max(s.curMaxMem, done)
 		s.act.ConsolidatedFetches++
-		return t.Texel(level, x, y)
+		return c
 	}
 	done := s.cube.InternalAccess(s.curArrive, mem.Request{
 		Addr: g, Size: internalGranule, Class: mem.ClassTexture, Kind: mem.Read,
 	})
-	s.lineSeen[g] = done
-	if done > s.curMaxMem {
-		s.curMaxMem = done
-	}
-	return t.Texel(level, x, y)
+	s.granules.put(g, done)
+	s.curMaxMem = max(s.curMaxMem, done)
+	return c
 }
 
 // Sample implements gpu.TexturePath: package out, filter in memory,
@@ -115,7 +112,7 @@ func (s *STFIMPath) Sample(now int64, req *gpu.TexRequest) gpu.TexResult {
 	s.curArrive = issue
 	s.curMaxMem = issue
 	s.curTexels = 0
-	clear(s.lineSeen)
+	s.granules.reset()
 
 	color := s.sampler.SampleAniso(req.Tex, req.U, req.V, req.Foot)
 
@@ -182,5 +179,5 @@ func (s *STFIMPath) Reset() {
 	}
 	s.act = gpu.PathActivity{}
 	s.traffic = mem.Traffic{}
-	clear(s.lineSeen)
+	s.granules.reset()
 }

@@ -6,9 +6,14 @@
 # Families:
 #   - Simulator layer micro-benchmarks: BenchmarkATFIMSample (one A-TFIM
 #     texture request through internal/tfim: parent probes, offload,
-#     in-memory combination, on-chip filtering), BenchmarkAverageChildren
-#     (one Combination Unit parent texel) and BenchmarkLineTexels (the
-#     16 texels of one memory line) in internal/texture.
+#     in-memory combination, on-chip filtering), BenchmarkBaselineSample
+#     (one Baseline/B-PIM request: N x 8 texel fetches through L1, L2
+#     and GDDR5), BenchmarkSTFIMSample (one S-TFIM request: package out,
+#     texel fetches in the cube, package back), BenchmarkCacheAccess (one
+#     texture L1 lookup on a quad-local stream) in internal/cache,
+#     BenchmarkAverageChildren (one Combination Unit parent texel) and
+#     BenchmarkLineTexels (the 16 texels of one memory line) in
+#     internal/texture.
 #   - BenchmarkRenderFrame{Baseline,ATFIM}: one uncached wolf@320x240
 #     frame per iteration, the simulator's own throughput per design.
 #   - BenchmarkSimulateShards{1,2,8}: one uncached single-frame simulation
@@ -49,7 +54,8 @@ bench() { # bench PATTERN DEFAULT_BENCHTIME PACKAGE
         "$3" | tee -a "$tmp/bench.txt"
 }
 
-bench 'BenchmarkATFIMSample$' 1s ./internal/tfim/
+bench 'Benchmark(ATFIM|Baseline|STFIM)Sample$' 1s ./internal/tfim/
+bench 'BenchmarkCacheAccess$' 1s ./internal/cache/
 bench 'Benchmark(AverageChildren|LineTexels)$' 1s ./internal/texture/
 bench 'BenchmarkRenderFrame(Baseline|ATFIM)$' 3x .
 bench 'BenchmarkSimulateShards[128]$' 1x .
