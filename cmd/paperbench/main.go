@@ -34,7 +34,7 @@ func main() {
 		set       = flag.String("set", "quick", "workload set: mini, quick, full")
 		csvOut    = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut   = flag.Bool("json", false, "emit the experiment set as JSON instead of text")
-		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "render-farm workers for the sweeps; must be at least 1 (1 = serial)")
+		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "cells each sweep simulates at once; must be at least 1 (1 = serial)")
 		shards    = flag.Int("shards", 0, "frame tile-scan worker shards per simulation (0 = GOMAXPROCS, 1 = serial); results are identical at any value")
 		storeDir  = flag.String("store", "", "durable result-store directory; reruns serve persisted results instead of re-simulating")
 		writeBase = flag.String("write-baseline", "", "write each experiment's results as golden baselines into this directory")
@@ -87,7 +87,7 @@ func main() {
 			jsonOut: *jsonOut, csvOut: *csvOut,
 			writeBase: *writeBase, checkDir: *checkDir, relTol: *relTol,
 		})
-		reportFarm(time.Since(wallStart))
+		reportSweep(time.Since(wallStart))
 		reportStore()
 		if failed {
 			// os.Exit skips the deferred profiler stop; flush it first.
@@ -172,7 +172,7 @@ func main() {
 			failed = true
 		}
 	}
-	reportFarm(time.Since(wallStart))
+	reportSweep(time.Since(wallStart))
 	reportStore()
 	if failed {
 		if err := prof.Stop(); err != nil {
@@ -182,27 +182,24 @@ func main() {
 	}
 }
 
-// reportFarm prints the sweep farm's parallel win: cumulative worker-busy
-// time is what a serial run would have spent simulating, so busy/wall is
-// the wall-clock speedup the farm delivered. Goes to stderr so -csv/-json
+// reportSweep prints the sweeps' parallel win: the summed cell time is
+// what a serial run would have spent simulating, so cell time over wall
+// time is the speedup the fan-out delivered. Goes to stderr so -csv/-json
 // stdout stays machine-readable.
-func reportFarm(wall time.Duration) {
-	f := core.SweepFarm()
-	busy := f.BusyTime()
-	if busy <= 0 || wall <= 0 {
+func reportSweep(wall time.Duration) {
+	c := core.SweepCounters()
+	if c.CellTime <= 0 || wall <= 0 {
 		return
 	}
-	c := f.Counters()
 	fmt.Fprintf(os.Stderr,
-		"farm: %d workers, %d jobs (%d deduped), %v simulated over %v wall — %.2fx vs serial\n",
-		f.Workers(), c.Submitted, c.Deduped,
-		busy.Round(time.Millisecond), wall.Round(time.Millisecond),
-		busy.Seconds()/wall.Seconds())
+		"sweep: %d workers, %d cells, %v summed cell time over %v wall — %.2fx vs serial\n",
+		c.Workers, c.Cells, c.CellTime.Round(time.Millisecond), wall.Round(time.Millisecond),
+		c.CellTime.Seconds()/wall.Seconds())
 }
 
 // reportStore summarizes durable-store traffic when -store was given: hits
 // are simulations skipped entirely, misses were computed and written
-// through. Stderr, like the farm line.
+// through. Stderr, like the sweep line.
 func reportStore() {
 	st := core.ResultStore()
 	if st == nil {

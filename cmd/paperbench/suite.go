@@ -1,7 +1,7 @@
 package main
 
 // paperbench -suite: run a declarative pim-render/suite/v1 scenario file
-// instead of the registry experiments. Cases fan out across the sweep farm
+// instead of the registry experiments. Cases fan out over the sweep workers
 // (-parallel) and aggregate in declaration order, so the output is
 // byte-identical to running each case's spec alone; -write-baseline and
 // -check reuse the golden machinery with one baseline document per case.

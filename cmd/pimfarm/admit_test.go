@@ -19,7 +19,7 @@ import (
 // submissions, authorized against the given tenants.
 func newAdmitServer(t *testing.T, tenants []admit.Tenant, cfg admit.Config) (*httptest.Server, *farm.Farm) {
 	t.Helper()
-	f := farm.New(farm.Config{Workers: 2, QueueDepth: 16})
+	f := farm.New(farm.Config{})
 	set, err := admit.NewTenantSet(tenants)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func newAdmitServer(t *testing.T, tenants []admit.Tenant, cfg admit.Config) (*ht
 	cfg.Tenants = set
 	cfg.Metrics = telem.NewRegistry()
 	ctrl := admit.New(cfg)
-	api := newLocalServer(t, f, nil)
+	api := newLocalServer(t, f, nil, 2)
 	api.enableAdmit(ctrl, 5*time.Second)
 	ts := httptest.NewServer(api)
 	t.Cleanup(func() {

@@ -28,7 +28,7 @@ func BenchmarkDistFarmThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		core.ClearRunCache()
-		f := farm.New(farm.Config{Workers: 16, QueueDepth: 64})
+		f := farm.New(farm.Config{})
 		coord := dist.NewCoordinator(dist.Config{TTL: time.Minute, Metrics: telem.NewRegistry()})
 		api := newServer(f, nil, coord)
 		ts := httptest.NewServer(api)

@@ -41,7 +41,7 @@ func newDistStoreServer(t *testing.T, cfg dist.Config, st *store.Store) (*httpte
 	if cfg.Metrics == nil {
 		cfg.Metrics = telem.NewRegistry()
 	}
-	f := farm.New(farm.Config{Workers: 4, QueueDepth: 16, Tier: core.StoreTier(st)})
+	f := farm.New(farm.Config{Tier: core.StoreTier(st)})
 	coord := dist.NewCoordinator(cfg)
 	api := newServer(f, st, coord)
 	ts := httptest.NewServer(api)
@@ -403,7 +403,7 @@ func testJournalReplay(t *testing.T, local bool) {
 	// (stop serving without any orderly farm/journal shutdown, so no
 	// terminal record is ever written). In both modes this is a server
 	// that died before any worker took the job.
-	f1 := farm.New(farm.Config{Workers: 2, QueueDepth: 16})
+	f1 := farm.New(farm.Config{})
 	coord1 := dist.NewCoordinator(dist.Config{TTL: time.Minute, Metrics: telem.NewRegistry()})
 	api1 := newServer(f1, nil, coord1)
 	jn1, err := dist.OpenJournal(dir)
@@ -435,8 +435,8 @@ func testJournalReplay(t *testing.T, local bool) {
 	var ts2 *httptest.Server
 	var api2 *server
 	if local {
-		f2 := farm.New(farm.Config{Workers: 2, QueueDepth: 16})
-		api2 = newLocalServer(t, f2, nil)
+		f2 := farm.New(farm.Config{})
+		api2 = newLocalServer(t, f2, nil, 2)
 		ts2 = httptest.NewServer(api2)
 		t.Cleanup(func() {
 			ts2.Close()

@@ -11,8 +11,13 @@
 //	curl -s localhost:8080/v1/jobs/job-000001
 //	curl -s localhost:8080/varz
 //
-// SIGINT/SIGTERM drain the farm: the listener closes, queued jobs finish,
-// then the process exits.
+// SIGINT/SIGTERM drain the farm: the listener closes, accepted jobs
+// finish, then the process exits.
+//
+// -workers sizes the in-process worker and is the default number of
+// admission slots (jobs inside the farm at once); -queue bounds each
+// priority class's admission queue, where submissions beyond the slots
+// wait.
 //
 // Every job runs one way: the farm hands it to a lease coordinator, and a
 // worker leases it, simulates it and reports the result. By default the
@@ -34,6 +39,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -54,8 +60,8 @@ func main() {
 	}
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", farm.DefaultQueueDepth, "job queue depth")
+		workers   = flag.Int("workers", 0, "in-process worker slots, and the -admit-slots default (0 = GOMAXPROCS, or 64 under -dist)")
+		queue     = flag.Int("queue", admit.DefaultQueueDepth, "per-class admission queue depth")
 		cachecap  = flag.Int("cachecap", farm.DefaultCacheCap, "result cache entries (-1 disables)")
 		retries   = flag.Int("retries", 0, "retry attempts per failed job")
 		drainSecs = flag.Int("drain", 60, "max seconds to drain on shutdown before forcing")
@@ -70,8 +76,7 @@ func main() {
 		journal   = flag.String("journal", "", "durable job-journal directory; queued and in-flight jobs replay after a server restart")
 
 		tenants      = flag.String("tenants", "", "tenant config file (pim-render/tenants/v1 JSON: API keys, rate limits, quotas); empty admits any tenant unlimited")
-		admitSlots   = flag.Int("admit-slots", 0, "admission slots: jobs concurrently inside the farm (0 = worker pool size)")
-		admitQueue   = flag.Int("admit-queue", 0, "per-class admission queue depth (0 = -queue)")
+		admitSlots   = flag.Int("admit-slots", 0, "admission slots: jobs concurrently inside the farm (0 = -workers)")
 		admitTimeout = flag.Duration("admit-timeout", 30*time.Second, "max wait in the admission queue before a submission is shed with 429")
 		profileTTL   = flag.Duration("profile-ttl", 15*time.Minute, "prune finished jobs' frame-anatomy profile artifacts after this age (<= 0 keeps them for the job's lifetime)")
 		eventTTL     = flag.Duration("event-ttl", farm.DefaultEventRetention, "compact finished jobs' SSE replay history after this age (negative disables)")
@@ -128,17 +133,16 @@ func main() {
 		// duplicate every write); remote workers attach their own.
 		log.Info("store open", "dir", st.Dir(), "entries", st.Len(), "bytes", st.Size())
 	}
-	farmWorkers := *workers
-	if *distMode && farmWorkers == 0 {
-		// In dist mode a farm worker goroutine only parks on a coordinator
-		// outcome channel while a remote process simulates, so the pool
-		// bounds in-flight leases rather than CPU use — size it generously
-		// instead of by GOMAXPROCS.
-		farmWorkers = 64
+	slots := *workers
+	if slots <= 0 {
+		slots = runtime.GOMAXPROCS(0)
+		if *distMode {
+			// Under -dist the slots bound jobs out on remote workers, not
+			// local CPU use, so size them generously.
+			slots = 64
+		}
 	}
 	f := farm.New(farm.Config{
-		Workers:        farmWorkers,
-		QueueDepth:     *queue,
 		CacheCap:       *cachecap,
 		Retries:        *retries,
 		Tracer:         tracer,
@@ -155,9 +159,9 @@ func main() {
 	api.traces.ttl = *traceTTL
 
 	// Admission control always fronts submissions; without -tenants it
-	// runs with an open tenant set (any name, no rate or quota limits), so
-	// the only behavioral change is that queueing moves from the farm's
-	// FIFO channel to the admission layer's class-ordered queues.
+	// runs with an open tenant set (any name, no rate or quota limits). An
+	// admitted job goes straight to the coordinator's class queues, which
+	// are the only place it waits to run.
 	ts := admit.OpenTenants()
 	if *tenants != "" {
 		var err error
@@ -167,24 +171,19 @@ func main() {
 		}
 		log.Info("tenants loaded", "path", *tenants, "tenants", ts.Len())
 	}
-	slots := *admitSlots
-	if slots <= 0 {
-		slots = f.Workers()
+	admitted := *admitSlots
+	if admitted <= 0 {
+		admitted = slots
 	}
-	aq := *admitQueue
-	if aq <= 0 {
-		aq = *queue
-	}
-	adm := admit.New(admit.Config{Slots: slots, QueueDepth: aq, Tenants: ts})
+	adm := admit.New(admit.Config{Slots: admitted, QueueDepth: *queue, Tenants: ts})
 	api.enableAdmit(adm, *admitTimeout)
-	log.Info("admission control", "slots", slots, "queue_depth", aq,
+	log.Info("admission control", "slots", admitted, "queue_depth", *queue,
 		"timeout", admitTimeout.String(), "tenants", *tenants != "")
 	stopLocal := func() {}
 	if *distMode {
-		log.Info("distributed mode", "lease_ttl", leaseTTL.String(),
-			"dispatch_slots", f.Workers())
+		log.Info("distributed mode", "lease_ttl", leaseTTL.String())
 	} else {
-		stopLocal = startWorker(api.localWorker(f.Workers()))
+		stopLocal = startWorker(api.localWorker(slots))
 	}
 	if *journal != "" {
 		jn, err := dist.OpenJournal(*journal)
@@ -198,7 +197,7 @@ func main() {
 	srv := &http.Server{Addr: *addr, Handler: api}
 	errCh := make(chan error, 1)
 	go func() {
-		log.Info("listening", "addr", *addr, "workers", f.Workers(), "queue", *queue,
+		log.Info("listening", "addr", *addr, "workers", slots, "queue", *queue,
 			"pprof", *pprofOn, "version", obs.Version())
 		errCh <- srv.ListenAndServe()
 	}()

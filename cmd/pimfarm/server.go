@@ -367,25 +367,12 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		task.AdmitWait = ticket.Wait()
 	}
 
-	// Bound the wait for queue space so a saturated farm sheds load with
-	// 503 instead of hanging the client. (With admission in front the farm
-	// queue stays shallow — queueing happens at the admission layer, where
-	// priority ordering applies.)
-	ctx, cancel := context.WithTimeout(r.Context(), time.Second)
-	defer cancel()
-	job, err := s.submit(ctx, task, &req)
+	job, err := s.submit(task, &req)
 	if err != nil {
 		if ticket != nil {
 			ticket.Release()
 		}
-		switch {
-		case errors.Is(err, farm.ErrClosed), errors.Is(err, farm.ErrShutdown):
-			httpError(w, r, http.StatusServiceUnavailable, errors.New("farm is shutting down"))
-		case errors.Is(err, context.DeadlineExceeded):
-			httpError(w, r, http.StatusServiceUnavailable, errors.New("job queue is full"))
-		default:
-			httpError(w, r, http.StatusInternalServerError, err)
-		}
+		submitError(w, r, err)
 		return
 	}
 	if ticket != nil {
@@ -409,6 +396,16 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, jobResponse{View: job.View(), Request: &req})
+}
+
+// submitError renders a failed farm submission: 503 while the farm shuts
+// down, 500 otherwise (a journal that cannot record the job).
+func submitError(w http.ResponseWriter, r *http.Request, err error) {
+	if errors.Is(err, farm.ErrClosed) {
+		httpError(w, r, http.StatusServiceUnavailable, errors.New("farm is shutting down"))
+		return
+	}
+	httpError(w, r, http.StatusInternalServerError, err)
 }
 
 // resolveTenant authenticates the submission against the admission
@@ -532,11 +529,11 @@ func (s *server) dispatch(req *suite.Spec, key, label string) func(context.Conte
 	}
 }
 
-// submit journals the job (when a journal is attached) and enqueues it on
+// submit journals the job (when a journal is attached) and submits it to
 // the farm. The journal record is settled when the job reaches a terminal
 // state; a job accepted but never settled — the coordinator died first —
 // replays on the next start.
-func (s *server) submit(ctx context.Context, t farm.Task, req *suite.Spec) (*farm.Job, error) {
+func (s *server) submit(t farm.Task, req *suite.Spec) (*farm.Job, error) {
 	var recID string
 	if s.journal != nil {
 		spec, err := json.Marshal(req)
@@ -549,7 +546,7 @@ func (s *server) submit(ctx context.Context, t farm.Task, req *suite.Spec) (*far
 			return nil, fmt.Errorf("journal: %w", err)
 		}
 	}
-	job, err := s.farm.Submit(ctx, t)
+	job, err := s.farm.Submit(t)
 	if err != nil {
 		if recID != "" {
 			if terr := s.journal.Terminal(recID, dist.OpCanceled); terr != nil {
@@ -609,9 +606,7 @@ func (s *server) replayJournal() {
 			_ = s.journal.Terminal(rec.ID, dist.OpFailed)
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		job, err := s.farm.Submit(ctx, task)
-		cancel()
+		job, err := s.farm.Submit(task)
 		if err != nil {
 			// Leave the record pending: the next restart retries it.
 			s.log.Error("journal replay: submit", "rec", rec.ID, "err", err.Error())
@@ -641,9 +636,11 @@ func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
 	s.writeJob(w, http.StatusOK, j)
 }
 
-// handleCancel is DELETE /v1/jobs/{id}: cancel a queued or running job.
-// Unknown ids answer 404; jobs already terminal answer 409 (their outcome
-// is settled); a successful cancellation answers 200 with the job view.
+// handleCancel is DELETE /v1/jobs/{id}: cancel a job waiting for or
+// running on a worker. Unknown ids answer 404; jobs already terminal
+// answer 409 (their outcome is settled); a successful cancellation answers
+// 200 with the job view once the job has settled — the dispatch returns as
+// soon as its context ends, so that wait is brief.
 func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.farm.Job(id)
@@ -655,6 +652,10 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusConflict,
 			fmt.Errorf("job %s already %s", id, j.State()))
 		return
+	}
+	select {
+	case <-j.Done():
+	case <-r.Context().Done():
 	}
 	s.writeJob(w, http.StatusOK, j)
 }
@@ -710,9 +711,8 @@ func (s *server) handleVarz(w http.ResponseWriter, r *http.Request) {
 		Store    *store.Counters      `json:"store,omitempty"`
 		RunCache map[string]uint64    `json:"run_cache"`
 		BW       map[string][]float64 `json:"bw_utilization,omitempty"`
-		// Dist is the coordinator view (queue, lease ops, per-worker
-		// liveness); the key cannot be "workers" because farm.Counters
-		// already publishes its pool size there.
+		// Dist is the coordinator view: its class queues, lease ops and
+		// per-worker liveness.
 		Dist dist.Stats `json:"dist"`
 		// Admit is the admission-control view: free slots, per-class queue
 		// depths and waiters, and per-tenant in-flight holds.
@@ -776,6 +776,11 @@ func (s *server) latestBWHistograms() map[string][]float64 {
 // instruments all land in the same registry).
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	telem.SampleRuntime(s.metrics)
+	if s.store != nil {
+		// Remote workers write the shared store directory; refresh the
+		// store gauges from what it holds.
+		s.store.Counters()
+	}
 	if s.admit != nil {
 		// Burn-rate gauges are sliding-window derived; refresh at scrape
 		// time so pim_farm_slo_burn_ratio is current, not last-admission.

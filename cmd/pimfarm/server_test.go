@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,8 +22,8 @@ import (
 
 func newTestServer(t *testing.T) (*httptest.Server, *farm.Farm) {
 	t.Helper()
-	f := farm.New(farm.Config{Workers: 2, QueueDepth: 16})
-	ts := httptest.NewServer(newLocalServer(t, f, nil))
+	f := farm.New(farm.Config{})
+	ts := httptest.NewServer(newLocalServer(t, f, nil, 2))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -35,14 +36,14 @@ func newTestServer(t *testing.T) (*httptest.Server, *farm.Farm) {
 }
 
 // newLocalServer builds a local-mode API server over f: a coordinator
-// with a private metrics registry plus the in-process worker, both
-// stopped when the test ends (after any farm shutdown the test registers
-// later, so draining jobs still have their worker).
-func newLocalServer(t *testing.T, f *farm.Farm, st *store.Store) *server {
+// with a private metrics registry plus an in-process worker of slots
+// slots, both stopped when the test ends (after any farm shutdown the test
+// registers later, so draining jobs still have their worker).
+func newLocalServer(t *testing.T, f *farm.Farm, st *store.Store, slots int) *server {
 	t.Helper()
 	coord := dist.NewCoordinator(dist.Config{Metrics: telem.NewRegistry()})
 	api := newServer(f, st, coord)
-	stop := startWorker(api.localWorker(f.Workers()))
+	stop := startWorker(api.localWorker(slots))
 	t.Cleanup(func() {
 		stop()
 		coord.Close()
@@ -155,7 +156,7 @@ func TestAPIRoundTrip(t *testing.T) {
 }
 
 func TestHealthAndVarz(t *testing.T) {
-	ts, f := newTestServer(t)
+	ts, _ := newTestServer(t)
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -176,7 +177,7 @@ func TestHealthAndVarz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Workers != f.Workers() || c.QueueDepth != 16 {
+	if c.Submitted != 0 || c.UptimeSeconds <= 0 {
 		t.Fatalf("varz counters: %+v", c)
 	}
 }
@@ -310,8 +311,8 @@ func TestStoreSurvivesRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := farm.New(farm.Config{Workers: 2, QueueDepth: 16, Tier: core.StoreTier(st)})
-		ts := httptest.NewServer(newLocalServer(t, f, st))
+		f := farm.New(farm.Config{Tier: core.StoreTier(st)})
+		ts := httptest.NewServer(newLocalServer(t, f, st, 2))
 		defer func() {
 			ts.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -388,8 +389,8 @@ func TestExperimentsEndpoint(t *testing.T) {
 func TestJobCancel(t *testing.T) {
 	// One worker: the first job occupies it, so the second stays queued
 	// and its cancellation is deterministic.
-	f := farm.New(farm.Config{Workers: 1, QueueDepth: 16})
-	ts := httptest.NewServer(newLocalServer(t, f, nil))
+	f := farm.New(farm.Config{})
+	ts := httptest.NewServer(newLocalServer(t, f, nil, 1))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -456,8 +457,8 @@ func TestJobCancel(t *testing.T) {
 // finished job inline, and a client that hangs up while waiting cancels
 // the abandoned job so the farm records it canceled.
 func TestSubmitWaitAndDisconnect(t *testing.T) {
-	f := farm.New(farm.Config{Workers: 1, QueueDepth: 16})
-	ts := httptest.NewServer(newLocalServer(t, f, nil))
+	f := farm.New(farm.Config{})
+	ts := httptest.NewServer(newLocalServer(t, f, nil, 1))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -552,13 +553,13 @@ func TestParseDesign(t *testing.T) {
 	}
 }
 
-// startLocalServer is newLocalServer with a hand-built in-process worker,
-// for tests that adjust it before it starts.
+// startLocalServer is newLocalServer with a hand-built one-slot in-process
+// worker, for tests that adjust it before it starts.
 func startLocalServer(t *testing.T, f *farm.Farm, adjust func(*dist.Worker)) *httptest.Server {
 	t.Helper()
 	coord := dist.NewCoordinator(dist.Config{Metrics: telem.NewRegistry()})
 	api := newServer(f, nil, coord)
-	w := api.localWorker(f.Workers())
+	w := api.localWorker(1)
 	adjust(w)
 	stop := startWorker(w)
 	ts := httptest.NewServer(api)
@@ -579,7 +580,7 @@ func startLocalServer(t *testing.T, f *farm.Farm, adjust func(*dist.Worker)) *ht
 // the coordinator's queue instead of polling it, so with its poll interval
 // at an hour an idle worker still takes a new job at once.
 func TestLocalWorkerTakesJobsWithoutPolling(t *testing.T) {
-	ts := startLocalServer(t, farm.New(farm.Config{Workers: 1, QueueDepth: 4}),
+	ts := startLocalServer(t, farm.New(farm.Config{}),
 		func(w *dist.Worker) { w.Poll = time.Hour })
 
 	// Let the worker find the queue empty before the job arrives.
@@ -620,7 +621,7 @@ func TestLocalWorkerTakesJobsWithoutPolling(t *testing.T) {
 // heartbeat.
 func TestLocalCancelStopsExecution(t *testing.T) {
 	started, canceled := make(chan struct{}), make(chan struct{})
-	ts := startLocalServer(t, farm.New(farm.Config{Workers: 1, QueueDepth: 4}),
+	ts := startLocalServer(t, farm.New(farm.Config{}),
 		func(w *dist.Worker) {
 			w.Exec = func(ctx context.Context, g *dist.Grant, progress func(any)) ([]byte, []byte, error) {
 				close(started)
@@ -662,5 +663,88 @@ func TestLocalCancelStopsExecution(t *testing.T) {
 	}
 	if final := pollJob(t, ts, jr.ID); final.State != "canceled" {
 		t.Fatalf("job state = %s, want canceled", final.State)
+	}
+}
+
+// TestLocalJobsWaitInCoordinatorQueue: an accepted job goes straight to
+// the coordinator, whose class queue is the only place it waits. With a
+// one-slot in-process worker held busy, two more distinct jobs show up in
+// /varz dist.queued; DELETE of a waiting one answers 200 with the
+// canceled view, and that job is never leased.
+func TestLocalJobsWaitInCoordinatorQueue(t *testing.T) {
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var leased []string
+	ts := startLocalServer(t, farm.New(farm.Config{}), func(w *dist.Worker) {
+		w.Exec = func(ctx context.Context, g *dist.Grant, progress func(any)) ([]byte, []byte, error) {
+			mu.Lock()
+			leased = append(leased, g.Key)
+			first := len(leased) == 1
+			mu.Unlock()
+			if first {
+				<-release
+			}
+			return execGrant(ctx, g, progress)
+		}
+	})
+
+	var ids []string
+	for _, design := range []string{"baseline", "bpim", "stfim"} {
+		jr, code := postJob(t, ts, fmt.Sprintf(`{"game":"wolf","width":48,"height":36,"design":%q}`, design))
+		if code != http.StatusAccepted {
+			close(release)
+			t.Fatalf("POST %s status = %d", design, code)
+		}
+		ids = append(ids, jr.ID)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		v := getVarz(t, ts)
+		if v.Dist != nil && v.Dist.Queued == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("dist queue never held the two waiting jobs: %+v", v.Dist)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+ids[2], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jr jobResponse
+	err = json.NewDecoder(resp.Body).Decode(&jr)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || jr.State != "canceled" || jr.Key == "" {
+		t.Fatalf("DELETE of a waiting job = %d state %q key %q, want 200 canceled", resp.StatusCode, jr.State, jr.Key)
+	}
+	if v := getVarz(t, ts); v.Dist.Queued != 1 {
+		t.Fatalf("dist.queued = %d after DELETE, want 1", v.Dist.Queued)
+	}
+
+	close(release)
+	for _, id := range ids[:2] {
+		if final := pollJob(t, ts, id); final.State != "done" {
+			t.Fatalf("job %s state = %s (%s), want done", id, final.State, final.Error)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(leased) != 2 {
+		t.Fatalf("leased %v, want only the two live jobs", leased)
+	}
+	for _, key := range leased {
+		if key == jr.Key {
+			t.Fatalf("canceled job %s was leased: %v", jr.Key, leased)
+		}
 	}
 }

@@ -219,22 +219,13 @@ func (s *server) handleSuiteSubmit(w http.ResponseWriter, r *http.Request) {
 			tasks[i].Tenant = ticket.Tenant()
 			tasks[i].AdmitWait = ticket.Wait()
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), time.Second)
-		job, err := s.submit(ctx, tasks[i], specs[i])
-		cancel()
+		job, err := s.submit(tasks[i], specs[i])
 		if err != nil {
 			if ticket != nil {
 				ticket.Release()
 			}
 			shed()
-			switch {
-			case errors.Is(err, farm.ErrClosed), errors.Is(err, farm.ErrShutdown):
-				httpError(w, r, http.StatusServiceUnavailable, errors.New("farm is shutting down"))
-			case errors.Is(err, context.DeadlineExceeded):
-				httpError(w, r, http.StatusServiceUnavailable, errors.New("job queue is full"))
-			default:
-				httpError(w, r, http.StatusInternalServerError, err)
-			}
+			submitError(w, r, err)
 			return
 		}
 		if ticket != nil {

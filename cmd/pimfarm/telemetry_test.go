@@ -159,8 +159,8 @@ func TestJobEventsStream(t *testing.T) {
 func TestJobEventsCancel(t *testing.T) {
 	// One worker: the blocker occupies it so the watched job stays queued
 	// until canceled.
-	f := farm.New(farm.Config{Workers: 1, QueueDepth: 16})
-	ts := httptest.NewServer(newLocalServer(t, f, nil))
+	f := farm.New(farm.Config{})
+	ts := httptest.NewServer(newLocalServer(t, f, nil, 1))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -359,8 +359,8 @@ func TestVarzTelemetryBlocks(t *testing.T) {
 
 // TestPprofGate: the pprof subtree answers 404 unless enabled.
 func TestPprofGate(t *testing.T) {
-	f := farm.New(farm.Config{Workers: 1, QueueDepth: 4})
-	s := newLocalServer(t, f, nil)
+	f := farm.New(farm.Config{})
+	s := newLocalServer(t, f, nil, 1)
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()

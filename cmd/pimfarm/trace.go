@@ -12,7 +12,7 @@ import (
 )
 
 // Distributed-trace assembly and serving. Every sampled job accumulates
-// coordinator-side spans (admission wait, farm queue, dist queue/lease)
+// coordinator-side spans (admission wait, dist queue/lease)
 // and a worker-side span report shipped back with the completion;
 // recordTrace assembles them into one skew-corrected Chrome trace
 // timeline served at GET /v1/jobs/{id}/trace. Local mode's in-process
@@ -44,7 +44,6 @@ func (s *server) recordTrace(j *farm.Job, tc dtrace.Context, o *dist.Outcome, en
 	spans := []dtrace.Span{
 		root,
 		{Name: "admit", StartUS: admitStart.UnixMicro(), EndUS: v.Enqueued.UnixMicro()},
-		{Name: "farm/queue", StartUS: v.Enqueued.UnixMicro(), EndUS: enqStart.UnixMicro()},
 	}
 	a := dtrace.Assembly{
 		Context: tc, JobID: j.ID(), Label: j.Label(),

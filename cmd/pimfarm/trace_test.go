@@ -145,14 +145,14 @@ func TestDistTraceEndToEnd(t *testing.T) {
 }
 
 // checkTraceShape asserts the one timeline shape every executed job has:
-// the coordinator's admit/queue/lease and wire spans on pid 1, the
+// the coordinator's admit/dist-queue/lease and wire spans on pid 1, the
 // worker's resolve/tiers/run/encode and simulate-stage spans on pid 2, and
 // after skew correction the worker's run inside the lease window inside
 // the job root.
 func checkTraceShape(t *testing.T, doc traceDoc) {
 	t.Helper()
 	idx := eventIndex(t, doc)
-	for _, name := range []string{"job", "admit", "farm/queue", "dist/queue",
+	for _, name := range []string{"job", "admit", "dist/queue",
 		"dist/lease", "wire/grant", "wire/complete"} {
 		iv, ok := idx[name]
 		if !ok {
@@ -161,6 +161,11 @@ func checkTraceShape(t *testing.T, doc traceDoc) {
 		if iv.pid != 1 {
 			t.Fatalf("span %q on pid %d, want coordinator pid 1", name, iv.pid)
 		}
+	}
+	// An admitted job goes straight to the coordinator: the one queue
+	// between admission and a worker is dist/queue.
+	if _, ok := idx["farm/queue"]; ok {
+		t.Fatalf("timeline still has a farm/queue span (have %v)", spanNames(doc))
 	}
 	for _, name := range []string{"resolve", "tiers", "run", "encode"} {
 		iv, ok := idx[name]
@@ -235,8 +240,8 @@ func TestLocalTraceTimeline(t *testing.T) {
 // at all — no trace_id in the view, a 404 from the trace endpoint, and
 // (by construction) zero spans recorded anywhere.
 func TestTraceSamplingOff(t *testing.T) {
-	f := farm.New(farm.Config{Workers: 2, QueueDepth: 16})
-	api := newLocalServer(t, f, nil)
+	f := farm.New(farm.Config{})
+	api := newLocalServer(t, f, nil, 2)
 	api.traceSample = 0
 	ts := httptest.NewServer(api)
 	t.Cleanup(func() {
@@ -268,8 +273,8 @@ func TestTraceSamplingOff(t *testing.T) {
 // origin twice (exactly what journal replay does) mints distinct trace
 // roots — a replayed job's timeline never aliases its ancestor's.
 func TestReplayMintsFreshTraceRoot(t *testing.T) {
-	f := farm.New(farm.Config{Workers: 1, QueueDepth: 4})
-	api := newLocalServer(t, f, nil)
+	f := farm.New(farm.Config{})
+	api := newLocalServer(t, f, nil, 1)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()

@@ -48,8 +48,8 @@ const DefaultRunCacheCap = 512
 // runCache memoizes simulation results across experiments (Figs 10-13
 // share one sweep; Figs 14-16 share the threshold sweep). It is LRU-
 // bounded, and runFlight collapses concurrent computations of the same
-// key into one simulation (the farm's singleflight primitive), so
-// duplicate in-flight work is impossible even under parallel sweeps.
+// key into one simulation, so duplicate in-flight work is impossible even
+// under parallel sweeps.
 var (
 	runFlight flight.Group[*Result]
 	runCache  = lru.New[*Result](DefaultRunCacheCap)
@@ -144,11 +144,11 @@ type Experiment struct {
 func Fig2MemoryBreakdown(ctx context.Context, wls []workload.Workload) (*Experiment, error) {
 	tab := stats.NewTable("Fig 2: memory bandwidth usage breakdown (Baseline)",
 		"workload", "texture%", "frame%", "geometry%", "z-test%", "color%")
-	var specs []runSpec
+	var specs []RunSpec
 	for _, wl := range wls {
-		specs = append(specs, runSpec{wl, Options{Design: config.Baseline}})
+		specs = append(specs, RunSpec{wl, Options{Design: config.Baseline}})
 	}
-	if err := prefetch(ctx, specs); err != nil {
+	if err := Prefetch(ctx, specs); err != nil {
 		return nil, err
 	}
 	var texShare []float64
@@ -178,11 +178,11 @@ func Fig2MemoryBreakdown(ctx context.Context, wls []workload.Workload) (*Experim
 // pairSweep prefetches runs a and b of every workload, then hands each
 // workload's pair to row in workload order.
 func pairSweep(ctx context.Context, wls []workload.Workload, a, b Options, row func(wl workload.Workload, ra, rb *Result)) error {
-	var specs []runSpec
+	var specs []RunSpec
 	for _, wl := range wls {
-		specs = append(specs, runSpec{wl, a}, runSpec{wl, b})
+		specs = append(specs, RunSpec{wl, a}, RunSpec{wl, b})
 	}
-	if err := prefetch(ctx, specs); err != nil {
+	if err := Prefetch(ctx, specs); err != nil {
 		return err
 	}
 	for _, wl := range wls {
@@ -278,17 +278,17 @@ func Fig7TexelFetches() *Experiment {
 }
 
 // designSweep runs every design on every workload (memoized) and returns
-// results indexed [workload][design]. The cells execute in parallel on the
-// sweep farm; the aggregation below stays in workload order, so output is
+// results indexed [workload][design]. The cells execute in parallel
+// (Prefetch); the aggregation below stays in workload order, so output is
 // byte-identical to a serial sweep.
 func designSweep(ctx context.Context, wls []workload.Workload) (map[string]map[config.Design]*Result, error) {
-	var specs []runSpec
+	var specs []RunSpec
 	for _, wl := range wls {
 		for _, d := range config.AllDesigns() {
-			specs = append(specs, runSpec{wl, Options{Design: d}})
+			specs = append(specs, RunSpec{wl, Options{Design: d}})
 		}
 	}
-	if err := prefetch(ctx, specs); err != nil {
+	if err := Prefetch(ctx, specs); err != nil {
 		return nil, err
 	}
 	out := make(map[string]map[config.Design]*Result, len(wls))
@@ -376,11 +376,11 @@ func Fig12MemoryTraffic(ctx context.Context, wls []workload.Workload) (*Experime
 	}
 	tab := stats.NewTable("Fig 12: texture memory traffic (normalized to Baseline)",
 		"workload", "Baseline", "B-PIM", "S-TFIM", "A-TFIM-001pi", "A-TFIM-005pi")
-	var specs []runSpec
+	var specs []RunSpec
 	for _, wl := range wls {
-		specs = append(specs, runSpec{wl, Options{Design: config.ATFIM, AngleThreshold: config.Angle005Pi}})
+		specs = append(specs, RunSpec{wl, Options{Design: config.ATFIM, AngleThreshold: config.Angle005Pi}})
 	}
-	if err := prefetch(ctx, specs); err != nil {
+	if err := Prefetch(ctx, specs); err != nil {
 		return nil, err
 	}
 	agg := map[string][]float64{}
@@ -435,17 +435,17 @@ func Fig13Energy(ctx context.Context, wls []workload.Workload) (*Experiment, err
 }
 
 // thresholdSweep runs A-TFIM at each camera-angle threshold, in parallel
-// on the sweep farm. The Baseline cell per workload is prefetched too:
+// (Prefetch). The Baseline cell per workload is prefetched too:
 // Figs 14 and 15 normalize against it right after this sweep.
 func thresholdSweep(ctx context.Context, wls []workload.Workload) (map[string]map[string]*Result, error) {
-	var specs []runSpec
+	var specs []RunSpec
 	for _, wl := range wls {
-		specs = append(specs, runSpec{wl, Options{Design: config.Baseline}})
+		specs = append(specs, RunSpec{wl, Options{Design: config.Baseline}})
 		for _, th := range config.AngleThresholds() {
-			specs = append(specs, runSpec{wl, Options{Design: config.ATFIM, AngleThreshold: th.Value}})
+			specs = append(specs, RunSpec{wl, Options{Design: config.ATFIM, AngleThreshold: th.Value}})
 		}
 	}
-	if err := prefetch(ctx, specs); err != nil {
+	if err := Prefetch(ctx, specs); err != nil {
 		return nil, err
 	}
 	out := map[string]map[string]*Result{}

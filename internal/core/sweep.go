@@ -2,97 +2,96 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
-	"repro/internal/farm"
 	"repro/internal/workload"
 )
 
-// The experiment sweeps (designSweep, thresholdSweep, and the per-figure
-// loops) are embarrassingly parallel: every (workload, Options) cell is an
-// independent simulation. They all funnel through one shared farm scheduler
-// so duplicate cells collapse (farm singleflight + RunCached) and the
-// worker count is a single process-wide knob (paperbench -parallel).
+// The experiment sweeps (designSweep, thresholdSweep, the per-figure loops
+// and suite runs) are embarrassingly parallel: every (workload, Options)
+// cell is an independent simulation. Each sweep warms the run cache with
+// one bounded fan-out over RunCachedContext, then aggregates serially.
+// runFlight collapses duplicate cells, and the worker count is a single
+// process-wide knob (paperbench -parallel).
 
 var (
-	sweepMu      sync.Mutex
-	sweepFarmVar *farm.Farm
-	sweepWorkers int // 0 selects GOMAXPROCS
+	sweepWorkers atomic.Int32 // 0 selects GOMAXPROCS
+	sweepCells   atomic.Uint64
+	sweepBusyNs  atomic.Int64
 )
 
-// SetSweepParallelism sets the worker count used for experiment sweeps;
-// n <= 0 restores the default (GOMAXPROCS). Any existing scheduler is
-// drained in the background and a fresh one is built on next use.
-func SetSweepParallelism(n int) {
-	sweepMu.Lock()
-	defer sweepMu.Unlock()
-	if f := sweepFarmVar; f != nil {
-		sweepFarmVar = nil
-		go f.Close(context.Background())
+// SetSweepParallelism sets how many cells a sweep simulates at once;
+// n <= 0 restores the default (GOMAXPROCS).
+func SetSweepParallelism(n int) { sweepWorkers.Store(int32(n)) }
+
+// sweepParallelism returns the number of cells a sweep simulates at once.
+func sweepParallelism() int {
+	if n := int(sweepWorkers.Load()); n > 0 {
+		return n
 	}
-	sweepWorkers = n
+	return runtime.GOMAXPROCS(0)
 }
 
-// SweepFarm returns the shared sweep scheduler, building it on first use.
-// Its result cache is disabled: RunCached is the memoization layer, the
-// farm adds scheduling and in-flight dedup.
-func SweepFarm() *farm.Farm {
-	sweepMu.Lock()
-	defer sweepMu.Unlock()
-	if sweepFarmVar == nil {
-		sweepFarmVar = farm.New(farm.Config{
-			Workers:  sweepWorkers,
-			CacheCap: -1,
-		})
+// SweepStats is the process's sweep activity so far.
+type SweepStats struct {
+	// Workers is the current sweep parallelism.
+	Workers int
+	// Cells counts the cells sweep fan-outs have run.
+	Cells uint64
+	// CellTime sums those cells' wall times: what running them one after
+	// another would have taken.
+	CellTime time.Duration
+}
+
+// SweepCounters snapshots sweep activity (paperbench's sweep: line).
+func SweepCounters() SweepStats {
+	return SweepStats{
+		Workers:  sweepParallelism(),
+		Cells:    sweepCells.Load(),
+		CellTime: time.Duration(sweepBusyNs.Load()),
 	}
-	return sweepFarmVar
 }
 
-// runSpec is one independent simulation cell of a sweep.
-type runSpec struct {
-	wl   workload.Workload
-	opts Options
+// RunSpec is one independent simulation cell of a sweep.
+type RunSpec struct {
+	Workload workload.Workload
+	Options  Options
 }
 
-// prefetch warms the run cache by executing the given cells on the sweep
-// farm. Identical cells (within this call or racing with another sweep)
-// collapse into one simulation via the farm's singleflight plus
-// RunCached's. After prefetch returns nil, serial aggregation loops hit
-// the cache; if an entry was evicted meanwhile, RunCached simply
-// recomputes it, so correctness never depends on cache residency.
-func prefetch(ctx context.Context, specs []runSpec) error {
+// Prefetch warms the run cache by running the given cells through
+// RunCachedContext on SetSweepParallelism goroutines under ctx. Identical
+// cells (within this call or racing with another sweep) collapse into one
+// simulation in runFlight. It returns the first error in cell order.
+// After Prefetch returns nil, serial aggregation loops hit the cache; if
+// an entry was evicted meanwhile, RunCached simply recomputes it, so
+// correctness never depends on cache residency.
+func Prefetch(ctx context.Context, specs []RunSpec) error {
 	if len(specs) < 2 {
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return err
+	errs := make([]error, len(specs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(sweepParallelism(), len(specs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(specs); i = int(next.Add(1)) - 1 {
+				start := time.Now()
+				_, errs[i] = RunCachedContext(ctx, specs[i].Workload, specs[i].Options)
+				sweepBusyNs.Add(int64(time.Since(start)))
+				sweepCells.Add(1)
+			}
+		}()
 	}
-	f := SweepFarm()
-	jobs := make([]*farm.Job, 0, len(specs))
-	for _, sp := range specs {
-		sp := sp
-		j, err := f.Submit(ctx, farm.Task{
-			Key:   cacheKey(sp.wl, sp.opts),
-			Label: fmt.Sprintf("%s/%s", sp.wl.Name(), sp.opts.Design),
-			Run: func(runCtx context.Context) (any, error) {
-				r, err := RunCachedContext(runCtx, sp.wl, sp.opts)
-				if err != nil {
-					return nil, err
-				}
-				return r, nil
-			},
-		})
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
-		jobs = append(jobs, j)
 	}
-	var firstErr error
-	for _, j := range jobs {
-		if _, err := j.Wait(ctx); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return nil
 }

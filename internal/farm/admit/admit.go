@@ -133,9 +133,10 @@ const (
 // Config configures a Controller.
 type Config struct {
 	// Slots is how many admitted jobs may be inside the farm at once
-	// (queued-on-a-worker or running). <= 0 selects DefaultSlots.
-	// cmd/pimfarm sets it to the farm's worker-pool size, so all queueing
-	// happens here, where priority ordering applies.
+	// (waiting for a worker or running). <= 0 selects DefaultSlots.
+	// cmd/pimfarm defaults it to its worker count; admitted jobs then wait
+	// only in the lease coordinator's queues, which keep the same class
+	// order.
 	Slots int
 	// QueueDepth bounds each class's admission wait queue; a submission
 	// arriving at a full queue is rejected immediately (QueueFull).

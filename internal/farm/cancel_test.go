@@ -7,15 +7,16 @@ import (
 	"time"
 )
 
-// TestCancelQueuedJob: canceling a job that never reached a worker
-// completes it Canceled immediately, and the worker that later dequeues
-// it skips it.
+// TestCancelQueuedJob: canceling a job that never started running — a
+// dedup follower waiting on its leader — completes it Canceled
+// immediately, and the leader's later completion leaves it canceled.
 func TestCancelQueuedJob(t *testing.T) {
-	f := New(Config{Workers: 1, QueueDepth: 8})
+	f := New(Config{})
 	defer f.Close(context.Background())
 
 	release := make(chan struct{})
-	blocker, err := f.Submit(context.Background(), Task{
+	blocker, err := f.Submit(Task{
+		Key:   "k",
 		Label: "blocker",
 		Run: func(context.Context) (any, error) {
 			<-release
@@ -25,12 +26,16 @@ func TestCancelQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := f.Submit(context.Background(), Task{
+	queued, err := f.Submit(Task{
+		Key:   "k",
 		Label: "queued",
 		Run:   func(context.Context) (any, error) { return "never", nil },
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s := queued.State(); s != Queued {
+		t.Fatalf("follower state = %v, want Queued", s)
 	}
 
 	if !f.Cancel(queued.ID()) {
@@ -51,6 +56,9 @@ func TestCancelQueuedJob(t *testing.T) {
 	if v, err := blocker.Wait(context.Background()); err != nil || v != "done" {
 		t.Fatalf("blocker = %v, %v", v, err)
 	}
+	if s := queued.State(); s != Canceled {
+		t.Fatalf("canceled follower state = %v after its leader finished, want Canceled", s)
+	}
 	if c := f.Counters(); c.Canceled != 1 || c.Done != 1 {
 		t.Fatalf("counters canceled=%d done=%d, want 1/1", c.Canceled, c.Done)
 	}
@@ -59,11 +67,11 @@ func TestCancelQueuedJob(t *testing.T) {
 // TestCancelRunningJob: canceling a running job fires its context; when
 // the Run returns the error, the job completes Canceled (not Failed).
 func TestCancelRunningJob(t *testing.T) {
-	f := New(Config{Workers: 1})
+	f := New(Config{})
 	defer f.Close(context.Background())
 
 	started := make(chan struct{})
-	j, err := f.Submit(context.Background(), Task{
+	j, err := f.Submit(Task{
 		Label: "running",
 		Run: func(ctx context.Context) (any, error) {
 			close(started)
@@ -92,11 +100,11 @@ func TestCancelRunningJob(t *testing.T) {
 // TestCancelDoesNotRetry: a canceled job is never retried, even with a
 // generous retry budget.
 func TestCancelDoesNotRetry(t *testing.T) {
-	f := New(Config{Workers: 1, Retries: 5, Backoff: time.Millisecond})
+	f := New(Config{Retries: 5, Backoff: time.Millisecond})
 	defer f.Close(context.Background())
 
 	started := make(chan struct{})
-	j, err := f.Submit(context.Background(), Task{
+	j, err := f.Submit(Task{
 		Label: "cancel-no-retry",
 		Run: func(ctx context.Context) (any, error) {
 			close(started)
@@ -128,7 +136,7 @@ func TestCancelDoesNotRetry(t *testing.T) {
 
 // TestCancelUnknownJob: unknown ids are rejected without effect.
 func TestCancelUnknownJob(t *testing.T) {
-	f := New(Config{Workers: 1})
+	f := New(Config{})
 	defer f.Close(context.Background())
 	if f.Cancel("job-999999") {
 		t.Fatal("Cancel(unknown) = true, want false")
@@ -138,10 +146,10 @@ func TestCancelUnknownJob(t *testing.T) {
 // TestCancelCompletedJobKeepsResult: canceling after completion neither
 // flips the state nor clobbers the value.
 func TestCancelCompletedJobKeepsResult(t *testing.T) {
-	f := New(Config{Workers: 1})
+	f := New(Config{})
 	defer f.Close(context.Background())
 
-	j, err := f.Submit(context.Background(), Task{
+	j, err := f.Submit(Task{
 		Label: "done",
 		Run:   func(context.Context) (any, error) { return 42, nil },
 	})

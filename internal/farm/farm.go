@@ -1,22 +1,23 @@
-// Package farm is the concurrent render-farm service layer: a bounded-queue
-// job scheduler with a fixed worker pool, singleflight deduplication of
-// identical in-flight work, an LRU-bounded result cache, per-job retry with
-// exponential backoff, and graceful drain on shutdown.
+// Package farm is the render-farm job layer: singleflight deduplication
+// of identical in-flight work, an LRU-bounded result cache with an
+// optional durable tier, per-job retry with exponential backoff, SSE
+// lifecycle streams, cancellation, and graceful drain on shutdown.
 //
-// The farm is deliberately independent of the simulator: a Task carries an
-// opaque Run closure plus a dedup Key, so internal/core can route its design
-// and threshold sweeps through a farm (and cmd/pimfarm can serve arbitrary
-// render jobs) without an import cycle. Job lifecycle transitions
-// (queued → running → done) are recorded as obs spans when a tracer is
-// attached, so farm behaviour shows up in the same Chrome trace export as
-// the simulator's cycle timeline.
+// The farm does not schedule: Submit never blocks, and each deduplicated
+// execution runs in its own goroutine. Whatever bounds the work sits in
+// front of the farm (cmd/pimfarm's admission control) or inside the Run
+// closure (the lease coordinator's class queues). The farm is
+// deliberately independent of the simulator: a Task carries an opaque Run
+// closure plus a dedup Key, so cmd/pimfarm can serve arbitrary render jobs
+// without an import cycle. Job runs and cache hits are recorded as obs
+// spans when a tracer is attached, so farm behaviour shows up in the same
+// Chrome trace export as the simulator's cycle timeline.
 package farm
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,8 +29,6 @@ import (
 
 // Defaults used when Config fields are zero.
 const (
-	// DefaultQueueDepth bounds the pending-job queue.
-	DefaultQueueDepth = 256
 	// DefaultCacheCap bounds the result cache (entries).
 	DefaultCacheCap = 512
 	// DefaultRetainDone bounds how many finished jobs the registry keeps
@@ -46,8 +45,8 @@ const (
 var (
 	// ErrClosed is returned by Submit after Close has begun.
 	ErrClosed = errors.New("farm: closed")
-	// ErrShutdown completes jobs that were still queued when a forced
-	// shutdown canceled them.
+	// ErrShutdown completes jobs that never ran — dedup followers — when
+	// a forced shutdown canceled them.
 	ErrShutdown = errors.New("farm: shut down before job ran")
 )
 
@@ -81,7 +80,7 @@ type Task struct {
 	Tenant string
 	// Class is the admission priority-class label ("interactive",
 	// "batch"); informational at this layer — ordering is enforced by the
-	// admission controller in front of Submit, not by the farm queue.
+	// admission controller in front of Submit and the queues behind Run.
 	Class string
 	// AdmitWait is how long the submission waited for admission before
 	// Submit was called; surfaced on the job view as admit_wait_ms.
@@ -102,10 +101,6 @@ type Task struct {
 
 // Config configures a Farm.
 type Config struct {
-	// Workers is the pool size; <= 0 selects runtime.GOMAXPROCS(0).
-	Workers int
-	// QueueDepth bounds pending jobs; <= 0 selects DefaultQueueDepth.
-	QueueDepth int
 	// CacheCap bounds the result cache; < 0 disables caching, 0 selects
 	// DefaultCacheCap.
 	CacheCap int
@@ -127,11 +122,11 @@ type Config struct {
 	// DefaultEventRetention; < 0 disables compaction.
 	EventRetention time.Duration
 	// Tier, when non-nil, is the second cache tier behind the in-memory
-	// LRU (memory → tier → compute). It is consulted on a worker just
-	// before a task would run — never on the Submit path — and computed
-	// results are written through. Singleflight spans tiers: followers of
-	// an in-flight key ride the leader whether its result came from the
-	// tier or was computed.
+	// LRU (memory → tier → compute). It is consulted by the job's own
+	// goroutine just before the task would run — never on the Submit
+	// path — and computed results are written through. Singleflight spans
+	// tiers: followers of an in-flight key ride the leader whether its
+	// result came from the tier or was computed.
 	Tier Tier
 	// Tracer, when non-nil, receives job lifecycle spans (wall-clock
 	// microseconds since the farm started).
@@ -150,8 +145,8 @@ type farmMetrics struct {
 	done, failed, canceled                 *telem.Counter
 	deduped, cacheHits, tierHits, tierPuts *telem.Counter
 	retries                                *telem.Counter
-	queued, running                        *telem.Gauge
-	queueWait, runDur                      *telem.Histogram
+	running                                *telem.Gauge
+	runDur                                 *telem.Histogram
 }
 
 func newFarmMetrics(r *telem.Registry) farmMetrics {
@@ -175,12 +170,8 @@ func newFarmMetrics(r *telem.Registry) farmMetrics {
 			"Computed results written through to the durable store tier.", nil),
 		retries: r.Counter("pimfarm_job_retries_total",
 			"Task retry attempts after transient failures.", nil),
-		queued: r.Gauge("pimfarm_jobs_queued",
-			"Jobs waiting in the farm queue.", nil),
 		running: r.Gauge("pimfarm_jobs_running",
-			"Jobs currently executing on workers.", nil),
-		queueWait: r.Histogram("pimfarm_job_queue_wait_seconds",
-			"Time jobs spent queued before a worker picked them up.", nil, nil),
+			"Jobs currently executing.", nil),
 		runDur: r.Histogram("pimfarm_job_run_seconds",
 			"Task execution time (including retries) for computed jobs.", nil, nil),
 	}
@@ -188,9 +179,6 @@ func newFarmMetrics(r *telem.Registry) farmMetrics {
 
 // Counters is a point-in-time snapshot of farm activity (the /varz body).
 type Counters struct {
-	Workers       int     `json:"workers"`
-	QueueDepth    int     `json:"queue_depth"`
-	QueueLen      int     `json:"queue_len"`
 	Submitted     uint64  `json:"submitted"`
 	Running       int64   `json:"running"`
 	Done          uint64  `json:"done"`
@@ -202,19 +190,14 @@ type Counters struct {
 	TierHits      uint64  `json:"tier_hits"`
 	TierPuts      uint64  `json:"tier_puts"`
 	Retries       uint64  `json:"retries"`
-	BusySeconds   float64 `json:"busy_seconds"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Utilization is busy worker-seconds over available worker-seconds
-	// since the farm started, in [0,1].
-	Utilization float64 `json:"utilization"`
 }
 
-// Farm schedules Tasks over a worker pool.
+// Farm runs Tasks with dedup, caching, retry and lifecycle tracking.
 type Farm struct {
-	cfg   Config
-	met   farmMetrics
-	queue chan *Job
-	t0    time.Time
+	cfg Config
+	met farmMetrics
+	t0  time.Time
 
 	root   context.Context
 	cancel context.CancelFunc
@@ -223,13 +206,12 @@ type Farm struct {
 
 	mu       sync.Mutex
 	closed   bool
-	inflight map[string]*leader // key → leader among queued/running jobs
+	inflight map[string]*leader // key → leader among unfinished jobs
 	jobs     map[string]*Job    // id → job
 	order    []*Job             // submission order, pruned to RetainDone
 	nextID   uint64
 
-	jobsWG    sync.WaitGroup // accepted jobs not yet terminal
-	workersWG sync.WaitGroup
+	jobsWG sync.WaitGroup // accepted jobs not yet terminal
 
 	submitted atomic.Uint64
 	running   atomic.Int64
@@ -241,7 +223,6 @@ type Farm struct {
 	tierHits  atomic.Uint64
 	tierPuts  atomic.Uint64
 	retries   atomic.Uint64
-	busyNs    atomic.Int64
 }
 
 // leader tracks one in-flight execution and the duplicate submissions
@@ -251,14 +232,8 @@ type leader struct {
 	followers []*Job
 }
 
-// New builds a farm and starts its workers.
+// New builds a farm.
 func New(cfg Config) *Farm {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
 	switch {
 	case cfg.CacheCap == 0:
 		cfg.CacheCap = DefaultCacheCap
@@ -279,17 +254,12 @@ func New(cfg Config) *Farm {
 	f := &Farm{
 		cfg:      cfg,
 		met:      newFarmMetrics(reg),
-		queue:    make(chan *Job, cfg.QueueDepth),
 		t0:       time.Now(),
 		root:     root,
 		cancel:   cancel,
 		cache:    lru.New[any](cfg.CacheCap),
 		inflight: make(map[string]*leader),
 		jobs:     make(map[string]*Job),
-	}
-	f.workersWG.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go f.worker(w)
 	}
 	if cfg.EventRetention >= 0 {
 		if cfg.EventRetention == 0 {
@@ -328,14 +298,11 @@ func (f *Farm) janitor() {
 	}
 }
 
-// Workers returns the pool size.
-func (f *Farm) Workers() int { return f.cfg.Workers }
-
-// Submit enqueues a task and returns its Job immediately. ctx bounds only
-// the wait for queue space (execution uses the farm's root context).
-// Duplicate keys of in-flight jobs attach to the leader without consuming
-// a queue slot; cached keys complete immediately.
-func (f *Farm) Submit(ctx context.Context, t Task) (*Job, error) {
+// Submit accepts a task and returns its Job without blocking. Cached keys
+// complete immediately, duplicate keys of in-flight jobs attach to their
+// leader, and any other task starts executing in its own goroutine under
+// the farm's root context.
+func (f *Farm) Submit(t Task) (*Job, error) {
 	if t.Run == nil {
 		return nil, errors.New("farm: task has no Run")
 	}
@@ -369,7 +336,7 @@ func (f *Farm) Submit(ctx context.Context, t Task) (*Job, error) {
 	f.submitted.Add(1)
 	f.met.submitted.Inc()
 
-	// Cache hit: complete without touching the queue.
+	// Cache hit: complete without running.
 	if t.Key != "" {
 		if v, ok := f.cache.Get(t.Key); ok {
 			f.mu.Unlock()
@@ -400,18 +367,8 @@ func (f *Farm) Submit(ctx context.Context, t Task) (*Job, error) {
 	j.run = t.Run
 	f.mu.Unlock()
 	j.publishState()
-
-	select {
-	case f.queue <- j:
-		f.met.queued.Set(float64(len(f.queue)))
-		return j, nil
-	case <-ctx.Done():
-		f.finish(j, Canceled, nil, ctx.Err())
-		return nil, ctx.Err()
-	case <-f.root.Done():
-		f.finish(j, Canceled, nil, ErrShutdown)
-		return nil, ErrShutdown
-	}
+	go f.execute(j)
+	return j, nil
 }
 
 // jobCtxKey keys the *Job carried by each job's execution context.
@@ -419,8 +376,8 @@ type jobCtxKey struct{}
 
 // JobFromContext returns the job whose Run is executing under ctx, if
 // any. Task closures use it to publish progress events onto their own
-// job without needing the *Job handle (which Submit has not returned yet
-// when a worker may already be running the task).
+// job without needing the *Job handle (which Submit may not have returned
+// yet when the task starts running).
 func JobFromContext(ctx context.Context) (*Job, bool) {
 	j, ok := ctx.Value(jobCtxKey{}).(*Job)
 	return j, ok
@@ -428,18 +385,18 @@ func JobFromContext(ctx context.Context) (*Job, bool) {
 
 // Do submits a task and waits for its result.
 func (f *Farm) Do(ctx context.Context, t Task) (any, error) {
-	j, err := f.Submit(ctx, t)
+	j, err := f.Submit(t)
 	if err != nil {
 		return nil, err
 	}
 	return j.Wait(ctx)
 }
 
-// Cancel requests cancellation of a job by id. A still-queued job
-// completes Canceled immediately (a worker that later dequeues it skips
-// it); a running job has its context canceled and completes Canceled when
-// its Run returns. Cancel reports whether the request took effect — false
-// for unknown ids and jobs already in a terminal state.
+// Cancel requests cancellation of a job by id. A job that has not started
+// running (a dedup follower) completes Canceled immediately; a running job
+// has its context canceled and completes Canceled when its Run returns.
+// Cancel reports whether the request took effect — false for unknown ids
+// and jobs already in a terminal state.
 func (f *Farm) Cancel(id string) bool {
 	f.mu.Lock()
 	j, ok := f.jobs[id]
@@ -481,16 +438,7 @@ func (f *Farm) Jobs() []*Job {
 
 // Counters snapshots farm activity.
 func (f *Farm) Counters() Counters {
-	up := time.Since(f.t0).Seconds()
-	busy := time.Duration(f.busyNs.Load()).Seconds()
-	util := 0.0
-	if avail := up * float64(f.cfg.Workers); avail > 0 {
-		util = busy / avail
-	}
 	return Counters{
-		Workers:       f.cfg.Workers,
-		QueueDepth:    f.cfg.QueueDepth,
-		QueueLen:      len(f.queue),
 		Submitted:     f.submitted.Load(),
 		Running:       f.running.Load(),
 		Done:          f.done.Load(),
@@ -502,21 +450,15 @@ func (f *Farm) Counters() Counters {
 		TierHits:      f.tierHits.Load(),
 		TierPuts:      f.tierPuts.Load(),
 		Retries:       f.retries.Load(),
-		BusySeconds:   busy,
-		UptimeSeconds: up,
-		Utilization:   util,
+		UptimeSeconds: time.Since(f.t0).Seconds(),
 	}
 }
 
-// BusyTime returns cumulative worker-busy time (the serial-equivalent
-// wall clock of all completed work; paperbench derives its parallel
-// speedup from this).
-func (f *Farm) BusyTime() time.Duration { return time.Duration(f.busyNs.Load()) }
-
-// Close drains the farm: no new submissions are accepted, queued jobs run
-// to completion, then workers exit. If ctx expires first the shutdown is
-// forced — the root context is canceled and still-queued jobs complete as
-// Canceled with ErrShutdown. Close returns ctx.Err() on a forced shutdown.
+// Close drains the farm: no new submissions are accepted and accepted
+// jobs run to completion. If ctx expires first the shutdown is forced —
+// the root context is canceled, running jobs see their contexts end, and
+// dedup followers complete as Canceled with ErrShutdown. Close returns
+// ctx.Err() on a forced shutdown.
 func (f *Farm) Close(ctx context.Context) error {
 	f.mu.Lock()
 	if f.closed {
@@ -538,11 +480,9 @@ func (f *Farm) Close(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 		f.cancel()
-		f.drainCanceled()
 		<-drained
 	}
 	f.cancel()
-	f.workersWG.Wait()
 	return err
 }
 
@@ -567,37 +507,18 @@ func (f *Farm) register(j *Job) {
 	f.order = kept
 }
 
-// worker is one pool goroutine: pull, execute, repeat until the root
-// context is canceled and (on graceful drain) the queue is empty.
-func (f *Farm) worker(id int) {
-	defer f.workersWG.Done()
-	track := fmt.Sprintf("farm/worker-%02d", id)
-	for {
-		select {
-		case j := <-f.queue:
-			f.execute(track, j)
-		case <-f.root.Done():
-			// Forced shutdown may leave queued jobs; cancel them.
-			f.drainCanceled()
-			return
-		}
-	}
-}
-
-// execute runs one job with retry/backoff and completes it (and any
-// singleflight followers).
-func (f *Farm) execute(track string, j *Job) {
+// execute runs one leader job with retry/backoff and completes it (and
+// any singleflight followers).
+func (f *Farm) execute(j *Job) {
 	start := time.Now()
-	f.met.queued.Set(float64(len(f.queue)))
 	j.mu.Lock()
-	if j.state.Terminal() { // canceled while queued
+	if j.state.Terminal() { // canceled before it started
 		j.mu.Unlock()
 		return
 	}
 	j.state = Running
 	j.started = start
 	j.mu.Unlock()
-	f.met.queueWait.Observe(start.Sub(j.enqueued).Seconds())
 	j.publishState()
 
 	// Second-tier lookup (memory → tier → compute): a persisted result
@@ -624,12 +545,10 @@ func (f *Farm) execute(track string, j *Job) {
 	f.met.running.Dec()
 
 	end := time.Now()
-	f.busyNs.Add(int64(end.Sub(start)))
 	f.met.runDur.Observe(end.Sub(start).Seconds())
 
 	if f.cfg.Tracer.On() {
-		f.cfg.Tracer.Span("farm/queue", j.spanName(), f.us(j.enqueued), f.us(start))
-		f.cfg.Tracer.SpanArg(track, j.spanName(), f.us(start), f.us(end),
+		f.cfg.Tracer.SpanArg("farm/run", j.spanName(), f.us(start), f.us(end),
 			"attempts", int64(f.attempts(j)))
 	}
 
@@ -701,6 +620,11 @@ func (f *Farm) finish(j *Job, s State, v any, err error) {
 		f.mu.Unlock()
 	}
 	f.completeOne(j, s, v, err, now)
+	if s == Failed && f.root.Err() != nil {
+		// Followers never ran: a forced shutdown cancels them rather than
+		// handing on the leader's interrupted run.
+		s, err = Canceled, ErrShutdown
+	}
 	for _, fo := range followers {
 		f.completeOne(fo, s, v, err, now)
 	}
@@ -739,18 +663,6 @@ func (f *Farm) completeOne(j *Job, s State, v any, err error, now time.Time) {
 		j.cancel() // release the job context's resources
 	}
 	f.jobsWG.Done()
-}
-
-// drainCanceled empties the queue, completing leftover jobs as Canceled.
-func (f *Farm) drainCanceled() {
-	for {
-		select {
-		case j := <-f.queue:
-			f.finish(j, Canceled, nil, ErrShutdown)
-		default:
-			return
-		}
-	}
 }
 
 func (f *Farm) attempts(j *Job) int {

@@ -25,9 +25,9 @@ func mustClose(t *testing.T, f *Farm) {
 }
 
 func TestSubmitWait(t *testing.T) {
-	f := New(Config{Workers: 2})
+	f := New(Config{})
 	defer mustClose(t, f)
-	j, err := f.Submit(context.Background(), Task{
+	j, err := f.Submit(Task{
 		Key:   "k",
 		Label: "simple",
 		Run:   func(context.Context) (any, error) { return &value{7}, nil },
@@ -56,7 +56,7 @@ func TestSubmitWait(t *testing.T) {
 // task exactly once (singleflight while in flight, LRU cache after), and
 // every job must observe its key's canonical result.
 func TestExactlyOncePerKey(t *testing.T) {
-	f := New(Config{Workers: 4})
+	f := New(Config{})
 	defer mustClose(t, f)
 
 	const (
@@ -79,7 +79,7 @@ func TestExactlyOncePerKey(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			k := s % keys
-			j, err := f.Submit(context.Background(), Task{
+			j, err := f.Submit(Task{
 				Key:   fmt.Sprintf("key-%d", k),
 				Label: fmt.Sprintf("dup-%d", k),
 				Run: func(context.Context) (any, error) {
@@ -123,7 +123,7 @@ func TestExactlyOncePerKey(t *testing.T) {
 }
 
 func TestCacheHitAfterCompletion(t *testing.T) {
-	f := New(Config{Workers: 1})
+	f := New(Config{})
 	defer mustClose(t, f)
 	var execs atomic.Int32
 	task := Task{
@@ -137,7 +137,7 @@ func TestCacheHitAfterCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := f.Submit(context.Background(), task)
+	j2, err := f.Submit(task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestCacheHitAfterCompletion(t *testing.T) {
 }
 
 func TestRetryBackoffThenSuccess(t *testing.T) {
-	f := New(Config{Workers: 1, Retries: 3, Backoff: time.Millisecond})
+	f := New(Config{Retries: 3, Backoff: time.Millisecond})
 	defer mustClose(t, f)
 	var calls atomic.Int32
 	v, err := f.Do(context.Background(), Task{
@@ -184,11 +184,11 @@ func TestRetryBackoffThenSuccess(t *testing.T) {
 }
 
 func TestRetryExhausted(t *testing.T) {
-	f := New(Config{Workers: 1, Retries: 2, Backoff: time.Millisecond})
+	f := New(Config{Retries: 2, Backoff: time.Millisecond})
 	defer mustClose(t, f)
 	boom := errors.New("boom")
 	var calls atomic.Int32
-	j, _ := f.Submit(context.Background(), Task{
+	j, _ := f.Submit(Task{
 		Run: func(context.Context) (any, error) {
 			calls.Add(1)
 			return nil, boom
@@ -209,7 +209,7 @@ func TestRetryExhausted(t *testing.T) {
 func TestRetryableFilterStopsRetry(t *testing.T) {
 	fatal := errors.New("fatal")
 	f := New(Config{
-		Workers: 1, Retries: 5, Backoff: time.Millisecond,
+		Retries: 5, Backoff: time.Millisecond,
 		Retryable: func(err error) bool { return !errors.Is(err, fatal) },
 	})
 	defer mustClose(t, f)
@@ -229,14 +229,14 @@ func TestRetryableFilterStopsRetry(t *testing.T) {
 }
 
 // TestGracefulDrainCompletesQueuedJobs shuts the farm down with jobs still
-// queued behind a single worker and asserts every one of them ran.
+// in flight and asserts every one of them ran.
 func TestGracefulDrainCompletesQueuedJobs(t *testing.T) {
-	f := New(Config{Workers: 1, QueueDepth: 32})
+	f := New(Config{})
 	const jobs = 10
 	var ran atomic.Int32
 	submitted := make([]*Job, jobs)
 	for i := 0; i < jobs; i++ {
-		j, err := f.Submit(context.Background(), Task{
+		j, err := f.Submit(Task{
 			Label: fmt.Sprintf("drain-%d", i),
 			Run: func(context.Context) (any, error) {
 				time.Sleep(2 * time.Millisecond)
@@ -251,14 +251,14 @@ func TestGracefulDrainCompletesQueuedJobs(t *testing.T) {
 	}
 	mustClose(t, f)
 	if n := ran.Load(); n != jobs {
-		t.Fatalf("%d of %d queued jobs ran across drain, want all", n, jobs)
+		t.Fatalf("%d of %d accepted jobs ran across drain, want all", n, jobs)
 	}
 	for i, j := range submitted {
 		if j.State() != Done {
 			t.Fatalf("job %d state = %v after drain, want done", i, j.State())
 		}
 	}
-	if _, err := f.Submit(context.Background(), Task{Run: func(context.Context) (any, error) { return nil, nil }}); !errors.Is(err, ErrClosed) {
+	if _, err := f.Submit(Task{Run: func(context.Context) (any, error) { return nil, nil }}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
 	// Close is idempotent.
@@ -268,11 +268,14 @@ func TestGracefulDrainCompletesQueuedJobs(t *testing.T) {
 }
 
 // TestForcedShutdownCancelsQueuedJobs expires the drain deadline while a
-// job blocks the single worker; the queued jobs must complete as Canceled.
+// job blocks with dedup followers waiting on it: the running job records
+// Failed (its context was canceled) and the followers, which never ran,
+// complete as Canceled with ErrShutdown.
 func TestForcedShutdownCancelsQueuedJobs(t *testing.T) {
-	f := New(Config{Workers: 1, QueueDepth: 8})
+	f := New(Config{})
 	release := make(chan struct{})
-	blocker, err := f.Submit(context.Background(), Task{
+	blocker, err := f.Submit(Task{
+		Key:   "k",
 		Label: "blocker",
 		Run: func(ctx context.Context) (any, error) {
 			select {
@@ -288,7 +291,8 @@ func TestForcedShutdownCancelsQueuedJobs(t *testing.T) {
 	}
 	queued := make([]*Job, 3)
 	for i := range queued {
-		queued[i], err = f.Submit(context.Background(), Task{
+		queued[i], err = f.Submit(Task{
+			Key:   "k",
 			Label: fmt.Sprintf("stuck-%d", i),
 			Run:   func(context.Context) (any, error) { return &value{1}, nil },
 		})
@@ -320,35 +324,11 @@ func TestForcedShutdownCancelsQueuedJobs(t *testing.T) {
 	}
 }
 
-func TestSubmitQueueFullRespectsContext(t *testing.T) {
-	f := New(Config{Workers: 1, QueueDepth: 1})
-	release := make(chan struct{})
-	defer func() {
-		close(release)
-		mustClose(t, f)
-	}()
-	// Occupy the worker, then fill the queue.
-	if _, err := f.Submit(context.Background(), Task{Run: func(context.Context) (any, error) {
-		<-release
-		return nil, nil
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Submit(context.Background(), Task{Run: func(context.Context) (any, error) { return nil, nil }}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := f.Submit(ctx, Task{Run: func(context.Context) (any, error) { return nil, nil }}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Submit on full queue = %v, want deadline exceeded", err)
-	}
-}
-
 func TestJobsListingAndRetention(t *testing.T) {
-	f := New(Config{Workers: 1, RetainDone: 3})
+	f := New(Config{RetainDone: 3})
 	defer mustClose(t, f)
 	for i := 0; i < 6; i++ {
-		j, err := f.Submit(context.Background(), Task{
+		j, err := f.Submit(Task{
 			Label: fmt.Sprintf("job-%d", i),
 			Run:   func(context.Context) (any, error) { return nil, nil },
 		})
@@ -373,7 +353,7 @@ func TestJobsListingAndRetention(t *testing.T) {
 
 func TestTracerRecordsLifecycleSpans(t *testing.T) {
 	tr := obs.NewTracer(1024)
-	f := New(Config{Workers: 1, Tracer: tr})
+	f := New(Config{Tracer: tr})
 	if _, err := f.Do(context.Background(), Task{Key: "k", Label: "traced",
 		Run: func(context.Context) (any, error) { return &value{1}, nil }}); err != nil {
 		t.Fatal(err)
@@ -392,40 +372,11 @@ func TestTracerRecordsLifecycleSpans(t *testing.T) {
 			t.Fatalf("span %q on %q ends before it starts", e.Name, e.Track)
 		}
 	}
-	if tracks["farm/queue"] == 0 {
-		t.Fatalf("no farm/queue span recorded; tracks: %v", tracks)
-	}
-	if tracks["farm/worker-00"] == 0 {
-		t.Fatalf("no worker span recorded; tracks: %v", tracks)
+	if tracks["farm/run"] == 0 {
+		t.Fatalf("no run span recorded; tracks: %v", tracks)
 	}
 	if tracks["farm/cache"] == 0 {
 		t.Fatalf("no cache-hit instant recorded; tracks: %v", tracks)
-	}
-}
-
-func TestCountersUtilization(t *testing.T) {
-	f := New(Config{Workers: 2})
-	defer mustClose(t, f)
-	for i := 0; i < 4; i++ {
-		if _, err := f.Do(context.Background(), Task{Run: func(context.Context) (any, error) {
-			time.Sleep(5 * time.Millisecond)
-			return nil, nil
-		}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := f.Counters()
-	if c.BusySeconds <= 0 {
-		t.Fatal("busy time not accounted")
-	}
-	if c.Utilization < 0 || c.Utilization > 1 {
-		t.Fatalf("utilization = %f out of range", c.Utilization)
-	}
-	if c.Workers != 2 || c.Submitted != 4 || c.Done != 4 {
-		t.Fatalf("counters: %+v", c)
-	}
-	if f.BusyTime() <= 0 {
-		t.Fatal("BusyTime not accounted")
 	}
 }
 
@@ -468,8 +419,8 @@ func TestTierServesAndWritesThrough(t *testing.T) {
 		}}
 	}
 
-	f1 := New(Config{Workers: 1, Tier: tier})
-	j, err := f1.Submit(context.Background(), task("k"))
+	f1 := New(Config{Tier: tier})
+	j, err := f1.Submit(task("k"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,9 +438,9 @@ func TestTierServesAndWritesThrough(t *testing.T) {
 
 	// A second farm with an empty memory cache — the tier (e.g. the durable
 	// store after a restart) answers instead of the task.
-	f2 := New(Config{Workers: 1, Tier: tier})
+	f2 := New(Config{Tier: tier})
 	defer mustClose(t, f2)
-	j2, err := f2.Submit(context.Background(), task("k"))
+	j2, err := f2.Submit(task("k"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +460,7 @@ func TestTierServesAndWritesThrough(t *testing.T) {
 	// Within one farm the memory LRU answers first: a repeat submission is
 	// a cache hit, not more tier traffic.
 	before := tier.gets
-	j3, err := f2.Submit(context.Background(), task("k"))
+	j3, err := f2.Submit(task("k"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +475,7 @@ func TestTierServesAndWritesThrough(t *testing.T) {
 	}
 
 	// Unkeyed jobs bypass the tier entirely.
-	j4, err := f2.Submit(context.Background(), Task{Run: func(context.Context) (any, error) {
+	j4, err := f2.Submit(Task{Run: func(context.Context) (any, error) {
 		return &value{7}, nil
 	}})
 	if err != nil {
@@ -545,9 +496,9 @@ func TestTierServesAndWritesThrough(t *testing.T) {
 // retained jobs stop pinning their full progress history. A late
 // subscriber still learns the outcome.
 func TestEventRetentionCompactsTerminalJobs(t *testing.T) {
-	f := New(Config{Workers: 1, EventRetention: 50 * time.Millisecond})
+	f := New(Config{EventRetention: 50 * time.Millisecond})
 	defer mustClose(t, f)
-	j, err := f.Submit(context.Background(), Task{
+	j, err := f.Submit(Task{
 		Label: "chatty",
 		Run: func(ctx context.Context) (any, error) {
 			job, _ := JobFromContext(ctx)
@@ -602,9 +553,9 @@ func TestEventRetentionCompactsTerminalJobs(t *testing.T) {
 // TestTaskTenantClassThreading: tenant, class, and admission wait set on
 // the Task surface in the job's accessors, View, and span name.
 func TestTaskTenantClassThreading(t *testing.T) {
-	f := New(Config{Workers: 1})
+	f := New(Config{})
 	defer mustClose(t, f)
-	j, err := f.Submit(context.Background(), Task{
+	j, err := f.Submit(Task{
 		Label:     "tagged",
 		Origin:    "r-000042",
 		Tenant:    "alice",

@@ -33,7 +33,7 @@ func TestFarmSweepMatchesSerial(t *testing.T) {
 		serial[i] = r
 	}
 
-	f := farm.New(farm.Config{Workers: 4})
+	f := farm.New(farm.Config{})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
@@ -54,7 +54,7 @@ func TestFarmSweepMatchesSerial(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				jobs[idx], errs[idx] = f.Submit(context.Background(), farm.Task{
+				jobs[idx], errs[idx] = f.Submit(farm.Task{
 					Key:   core.CacheKey(wl, opts),
 					Label: fmt.Sprintf("%s/baseline", wl.Name()),
 					Run: func(context.Context) (any, error) {

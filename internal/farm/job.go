@@ -12,9 +12,10 @@ import (
 type State int
 
 const (
-	// Queued: accepted, waiting for a worker (or for a dedup leader).
+	// Queued: accepted, not yet running (a dedup follower stays here
+	// until its leader finishes).
 	Queued State = iota
-	// Running: a worker is executing the task.
+	// Running: the task is executing.
 	Running
 	// Done: finished successfully; Value holds the result.
 	Done
@@ -100,7 +101,7 @@ type Job struct {
 
 	done chan struct{}
 
-	// Event stream state, under its own lock so publishers (worker
+	// Event stream state, under its own lock so publishers (execution
 	// goroutines, progress callbacks) never contend with job-state reads.
 	evMu     sync.Mutex
 	evSeq    int64

@@ -316,10 +316,15 @@ func (s *Store) Size() int64 {
 	return s.bytes
 }
 
-// Counters snapshots store activity.
+// Counters snapshots store activity. Entries and Bytes come from a scan
+// of the directory, so they include what other processes sharing it
+// wrote, and the pim_store_entries/pim_store_bytes gauges are refreshed to
+// match. The scan costs a directory walk: call Counters from status and
+// shutdown paths, not per job.
 func (s *Store) Counters() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	_, _ = s.scanLocked() // a failed walk keeps the tracked totals
 	return Counters{
 		Hits:      s.hits,
 		Misses:    s.misses,

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs/telem"
 )
 
 func openTest(t *testing.T, cfg Config) *Store {
@@ -322,5 +324,31 @@ func TestManifestReadsHeader(t *testing.T) {
 	}
 	if _, ok := s.Manifest(key); ok {
 		t.Fatal("manifest from a corrupt header")
+	}
+}
+
+// TestCountersSeeSharedDirectory: two handles on one directory, as a
+// pimfarm -dist coordinator and its workers hold. Entries the writer adds
+// show up in the other handle's Counters and its entry/byte gauges, not
+// only in the writer's.
+func TestCountersSeeSharedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	reg := telem.NewRegistry()
+	reader := openTest(t, Config{Dir: dir, Metrics: reg})
+	writer := openTest(t, Config{Dir: dir, Metrics: telem.NewRegistry()})
+	for i := 0; i < 3; i++ {
+		if err := writer.Put(fmt.Sprintf("k%d", i), Manifest{}, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := writer.Counters()
+	got := reader.Counters()
+	if got.Entries != 3 || got.Bytes != want.Bytes || got.Bytes == 0 {
+		t.Fatalf("reader sees %d entries / %d bytes, want 3 / %d", got.Entries, got.Bytes, want.Bytes)
+	}
+	entriesG := reg.Gauge("pim_store_entries", "Entries currently in the durable result store.", nil)
+	bytesG := reg.Gauge("pim_store_bytes", "Bytes currently on disk in the durable result store.", nil)
+	if entriesG.Value() != 3 || bytesG.Value() != float64(want.Bytes) {
+		t.Fatalf("reader gauges = %v entries / %v bytes, want 3 / %d", entriesG.Value(), bytesG.Value(), want.Bytes)
 	}
 }

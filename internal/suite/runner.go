@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/farm"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -23,8 +22,8 @@ type CaseResult struct {
 // declaration order.
 type CaseResults []CaseResult
 
-// Runner executes suites on the shared sweep farm. Cases fan out across
-// the farm's workers (deduped by cache key, memoized through the run
+// Runner executes suites on the shared sweep fan-out (core.Prefetch).
+// Cases run in parallel (deduped by cache key, memoized through the run
 // cache and durable store), then aggregate serially in declaration order,
 // so a suite run is byte-identical to running each case's spec alone —
 // at any parallelism.
@@ -51,31 +50,15 @@ func (r *Runner) Run(ctx context.Context, s *Suite) (CaseResults, error) {
 		resolved[i] = rv
 	}
 
-	// Fan out: warm the run cache through the sweep farm. Identical cases
-	// (within this suite or racing with a concurrent sweep) collapse via
-	// the farm's singleflight plus RunCached's.
-	if len(cases) > 1 {
-		f := core.SweepFarm()
-		jobs := make([]*farm.Job, 0, len(cases))
-		for i := range cases {
-			rv := resolved[i]
-			j, err := f.Submit(ctx, farm.Task{
-				Key:   rv.Key,
-				Label: s.Name + "/" + cases[i].ID,
-				Run: func(runCtx context.Context) (any, error) {
-					return core.RunCachedContext(runCtx, rv.Workload, rv.Options)
-				},
-			})
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, j)
-		}
-		for _, j := range jobs {
-			if _, err := j.Wait(ctx); err != nil {
-				return nil, err
-			}
-		}
+	// Fan out: warm the run cache through the shared sweep fan-out.
+	// Identical cases (within this suite or racing with a concurrent
+	// sweep) collapse in RunCached's singleflight.
+	specs := make([]core.RunSpec, len(cases))
+	for i, rv := range resolved {
+		specs[i] = core.RunSpec{Workload: rv.Workload, Options: rv.Options}
+	}
+	if err := core.Prefetch(ctx, specs); err != nil {
+		return nil, err
 	}
 
 	// Aggregate serially in declaration order. These are cache hits after

@@ -60,8 +60,8 @@ type SuiteCaseResult = suite.CaseResult
 // golden-baseline machinery checks.
 type SuiteCaseResults = suite.CaseResults
 
-// SuiteRunner executes suites on the shared sweep farm: cases fan out
-// across workers (deduped by cache key), then aggregate serially in
+// SuiteRunner executes suites on the shared sweep fan-out: cases run in
+// parallel (deduped by cache key), then aggregate serially in
 // declaration order, so a suite run is byte-identical to running each
 // case's spec alone — at any parallelism.
 type SuiteRunner = suite.Runner
