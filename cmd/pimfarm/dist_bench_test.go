@@ -37,7 +37,6 @@ func BenchmarkDistFarmThroughput(b *testing.B) {
 			wk := &dist.Worker{
 				Client: &dist.Client{Base: ts.URL, Worker: fmt.Sprintf("bench-%d", w)},
 				Slots:  2,
-				Poll:   5 * time.Millisecond,
 				Exec:   execGrant,
 			}
 			go wk.Run(wctx)

@@ -11,8 +11,9 @@
 //	curl -s localhost:8080/v1/jobs/job-000001
 //	curl -s localhost:8080/varz
 //
-// SIGINT/SIGTERM drain the farm: the listener closes, accepted jobs
-// finish, then the process exits.
+// SIGINT/SIGTERM drain the server (see server.drain): admission closes,
+// accepted jobs finish while workers can still report, the coordinator
+// closes, the listener closes, then the process exits.
 //
 // -workers sizes the in-process worker and is the default number of
 // admission slots (jobs inside the farm at once); -queue bounds each
@@ -63,7 +64,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "in-process worker slots, and the -admit-slots default (0 = GOMAXPROCS, or 64 under -dist)")
 		queue     = flag.Int("queue", admit.DefaultQueueDepth, "per-class admission queue depth")
 		cachecap  = flag.Int("cachecap", farm.DefaultCacheCap, "result cache entries (-1 disables)")
-		retries   = flag.Int("retries", 0, "retry attempts per failed job")
 		drainSecs = flag.Int("drain", 60, "max seconds to drain on shutdown before forcing")
 		tracefile = flag.String("tracefile", "", "write farm job-lifecycle spans as Chrome trace JSON on shutdown")
 		storeDir  = flag.String("store", "", "durable result-store directory; completed jobs survive restarts")
@@ -144,7 +144,6 @@ func main() {
 	}
 	f := farm.New(farm.Config{
 		CacheCap:       *cachecap,
-		Retries:        *retries,
 		Tracer:         tracer,
 		Tier:           core.StoreTier(st),
 		EventRetention: *eventTTL,
@@ -215,23 +214,7 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(*drainSecs)*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Error("http shutdown", "err", err.Error())
-	}
-	adm.Close()
-	if err := f.Close(ctx); err != nil {
-		log.Error("forced farm shutdown", "err", err.Error())
-	}
-	stopLocal()
-	cs := coord.Stats()
-	coord.Close()
-	log.Info("coordinator closed", "grants", cs.LeaseOps.Grants,
-		"expires", cs.LeaseOps.Expires, "requeues", cs.LeaseOps.Requeues)
-	if api.journal != nil {
-		if err := api.journal.Close(); err != nil {
-			log.Error("journal close", "err", err.Error())
-		}
-	}
+	api.drain(ctx, srv, stopLocal)
 	c := f.Counters()
 	log.Info("drained", "done", c.Done, "failed", c.Failed, "canceled", c.Canceled,
 		"deduped", c.Deduped, "cache_hits", c.CacheHits, "tier_hits", c.TierHits)
@@ -251,6 +234,37 @@ func main() {
 		}
 		if err := w.Close(); err != nil {
 			fatal(err)
+		}
+	}
+}
+
+// drain shuts the server down so that work a worker is finishing still
+// lands. Admission closes and the farm drains while the lease endpoints
+// are still served, so a remote worker mid-job can report its result.
+// The in-process worker stops, then the coordinator closes, releasing
+// every parked lease request, and only then does the HTTP server shut
+// down — parked requests would otherwise hold it open. The journal closes
+// once every job's record has settled. ctx bounds the farm drain; past it
+// the shutdown is forced.
+func (s *server) drain(ctx context.Context, srv *http.Server, stopLocal func()) {
+	if s.admit != nil {
+		s.admit.Close()
+	}
+	if err := s.farm.Close(ctx); err != nil {
+		s.log.Error("forced farm shutdown", "err", err.Error())
+	}
+	stopLocal()
+	cs := s.coord.Stats()
+	s.coord.Close()
+	s.log.Info("coordinator closed", "grants", cs.LeaseOps.Grants,
+		"expires", cs.LeaseOps.Expires, "requeues", cs.LeaseOps.Requeues)
+	if err := srv.Shutdown(ctx); err != nil {
+		s.log.Error("http shutdown", "err", err.Error())
+	}
+	if s.journal != nil {
+		s.settling.Wait()
+		if err := s.journal.Close(); err != nil {
+			s.log.Error("journal close", "err", err.Error())
 		}
 	}
 }

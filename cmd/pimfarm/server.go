@@ -73,8 +73,9 @@ type server struct {
 	// accepted jobs durable — every submission appends an enqueue record
 	// and every settled job a terminal record, so a restarted server
 	// replays what was in flight.
-	coord   *dist.Coordinator
-	journal *dist.Journal
+	coord    *dist.Coordinator
+	journal  *dist.Journal
+	settling sync.WaitGroup // settleJournal goroutines not yet written
 
 	// admit, when set (enableAdmit), gates every POST /v1/jobs through
 	// multi-tenant admission control: per-tenant rate limits and quotas,
@@ -556,6 +557,7 @@ func (s *server) submit(t farm.Task, req *suite.Spec) (*farm.Job, error) {
 		return nil, err
 	}
 	if recID != "" {
+		s.settling.Add(1)
 		go s.settleJournal(job, recID)
 	}
 	return job, nil
@@ -564,6 +566,7 @@ func (s *server) submit(t farm.Task, req *suite.Spec) (*farm.Job, error) {
 // settleJournal writes the journal terminal record once the job settles,
 // mapping the farm state to the journal op.
 func (s *server) settleJournal(job *farm.Job, recID string) {
+	defer s.settling.Done()
 	<-job.Done()
 	op := dist.OpDone
 	switch job.State() {
@@ -612,6 +615,7 @@ func (s *server) replayJournal() {
 			s.log.Error("journal replay: submit", "rec", rec.ID, "err", err.Error())
 			continue
 		}
+		s.settling.Add(1)
 		go s.settleJournal(job, rec.ID)
 		recovered++
 	}

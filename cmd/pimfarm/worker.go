@@ -1,7 +1,7 @@
 package main
 
 // pimfarm worker: the pull side of the distributed farm. A worker process
-// polls the coordinator for leases, simulates each granted job with the
+// long-polls the coordinator for leases, simulates each granted job with the
 // same execGrant local mode's in-process worker runs (memory → shared
 // store → compute), and streams progress and the encoded result back over
 // HTTP. Heartbeats renew the lease while the simulation runs; if the
@@ -37,7 +37,6 @@ func workerMain(args []string) {
 		storeDir = fs.String("store", "", "durable result-store directory; share it with the coordinator so results are warm hits everywhere")
 		jobs     = fs.Int("jobs", 1, "leases executed concurrently")
 		shards   = fs.Int("shards", 0, "frame tile-scan shards per simulation (0 = GOMAXPROCS)")
-		poll     = fs.Duration("poll", dist.DefaultPoll, "idle poll interval")
 		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 		version  = fs.Bool("version", false, "print version and exit")
 	)
@@ -83,7 +82,6 @@ func workerMain(args []string) {
 	w := &dist.Worker{
 		Client: &dist.Client{Base: *coordURL, Worker: *id},
 		Slots:  *jobs,
-		Poll:   *poll,
 		Log:    log,
 		Exec:   execGrant,
 	}

@@ -31,7 +31,6 @@ func BenchmarkLeaseRoundTrip(b *testing.B) {
 		w := &Worker{
 			Client: &Client{Base: ts.URL, Worker: fmt.Sprintf("bench-%d", i)},
 			Slots:  2,
-			Poll:   time.Millisecond,
 			Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, []byte, error) {
 				return []byte("ok"), nil, nil
 			},

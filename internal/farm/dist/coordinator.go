@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,9 +18,8 @@ const (
 	// DefaultTTL is the lease duration workers must renew within.
 	DefaultTTL = 15 * time.Second
 	// DefaultMaxRequeues bounds how many expired leases one dispatch
-	// survives before it resolves as failed (the farm's retry budget then
-	// decides whether to dispatch it again — lease expiries themselves
-	// never consume that budget).
+	// survives before it resolves as failed. Requeueing an expired lease
+	// is the only way a job runs again.
 	DefaultMaxRequeues = 8
 )
 
@@ -144,7 +144,7 @@ type Coordinator struct {
 	nextJob   uint64
 	nextLease uint64
 	// wake is closed (and replaced) whenever a job becomes leasable, so
-	// in-process workers waiting for work take it at once.
+	// workers parked in Lease take it at once; Close closes it for good.
 	wake chan struct{}
 
 	grants   atomic.Uint64
@@ -214,8 +214,8 @@ func (c *Coordinator) Enqueue(job Job) (string, <-chan Outcome, error) {
 	return p.id, p.ch, nil
 }
 
-// queueLocked appends p to its class queue and wakes in-process workers
-// waiting for work. Caller holds c.mu.
+// queueLocked appends p to its class queue and wakes the workers parked
+// in Lease. Caller holds c.mu.
 func (c *Coordinator) queueLocked(p *pending) {
 	q := classIndex(p.job.Class)
 	c.queues[q] = append(c.queues[q], p)
@@ -249,24 +249,50 @@ func (c *Coordinator) Abandon(id string) {
 	}
 }
 
-// Lease grants the oldest queued job to workerID, or reports no work.
-// The interactive queue is drained completely before any batch job is
-// granted.
-func (c *Coordinator) Lease(workerID string) (*Grant, bool) {
-	g, _, _ := c.leaseOrWait(workerID)
-	return g, g != nil
+// maxLeaseWait caps Lease's wait for work below the Client's 30 s request
+// timeout, so a parked HTTP lease answers 204 before the client gives up.
+const maxLeaseWait = 20 * time.Second
+
+// Lease grants workerID the oldest queued job, interactive before batch.
+// With nothing queued it waits until a job is queued or requeued, ctx
+// ends, the coordinator closes (ErrClosed), or half the TTL, at most
+// maxLeaseWait, passes; the last returns no grant and no error, and the
+// worker asks again, which keeps it inside the liveness window. It never
+// grants once ctx has ended, since that grant could not be delivered.
+// Both transports call it: POST /v1/leases with the request's context,
+// the in-process worker with its own.
+func (c *Coordinator) Lease(ctx context.Context, workerID string) (*Grant, error) {
+	wait := time.NewTimer(min(c.cfg.TTL/2, maxLeaseWait))
+	defer wait.Stop()
+	for {
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return nil, ErrClosed
+		}
+		if err := ctx.Err(); err != nil {
+			c.mu.Unlock()
+			return nil, err
+		}
+		g := c.grantLocked(workerID, time.Now())
+		wake := c.wake
+		c.mu.Unlock()
+		if g != nil {
+			return g, nil
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-wait.C:
+			return nil, nil
+		}
+	}
 }
 
-// leaseOrWait is Lease that, when no job is queued, also returns a
-// channel the next enqueue or requeue closes. It answers ErrClosed once
-// the coordinator is closed.
-func (c *Coordinator) leaseOrWait(workerID string) (*Grant, <-chan struct{}, error) {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, nil, ErrClosed
-	}
+// grantLocked records workerID's activity and leases it the oldest queued
+// job, or returns nil when none is queued. Caller holds c.mu.
+func (c *Coordinator) grantLocked(workerID string, now time.Time) *Grant {
 	c.touchWorkerLocked(workerID, now)
 	var p *pending
 scan:
@@ -282,7 +308,7 @@ scan:
 		}
 	}
 	if p == nil {
-		return nil, c.wake, nil
+		return nil
 	}
 	c.nextLease++
 	l := &lease{
@@ -311,7 +337,7 @@ scan:
 		// trace assembly uses to put worker spans on this clock.
 		GrantUnixUS: now.UnixMicro(),
 		lost:        l.lost,
-	}, nil, nil
+	}
 }
 
 // Renew extends a held lease by one TTL (the heartbeat). ErrGone tells
@@ -408,10 +434,8 @@ func (c *Coordinator) sweeper() {
 }
 
 // sweep reclaims expired leases: the job goes back on the queue with its
-// requeue count bumped (the farm-level retry budget is untouched — an
-// expiry is the coordinator's fault, not the job's) unless it has burned
-// through MaxRequeues, in which case it resolves as failed and the farm
-// decides whether to dispatch it again.
+// requeue count bumped unless it has burned through MaxRequeues, in which
+// case it resolves as failed.
 func (c *Coordinator) sweep(now time.Time) {
 	type failed struct {
 		p      *pending
@@ -548,8 +572,9 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
-// Close stops the sweeper and resolves every unresolved job with a
-// shutdown error so no dispatcher waits forever. Idempotent.
+// Close stops the sweeper, releases every worker parked in Lease (they
+// answer ErrClosed) and resolves every unresolved job with a shutdown
+// error so no dispatcher waits forever. Idempotent.
 func (c *Coordinator) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	<-c.swept

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -17,6 +18,15 @@ func testCoordinator(t *testing.T, cfg Config) *Coordinator {
 	c := NewCoordinator(cfg)
 	t.Cleanup(c.Close)
 	return c
+}
+
+// tryLease is Lease that does not wait for work: a queued job is granted
+// at once, and an empty queue answers no grant after a moment.
+func tryLease(c *Coordinator, worker string) (*Grant, bool) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	g, _ := c.Lease(ctx, worker)
+	return g, g != nil
 }
 
 func waitOutcome(t *testing.T, ch <-chan Outcome, within time.Duration) Outcome {
@@ -38,14 +48,14 @@ func TestLeaseCompleteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, ok := c.Lease("w1")
+	g, ok := tryLease(c, "w1")
 	if !ok {
 		t.Fatal("no grant for queued job")
 	}
 	if g.Job != id || g.Key != "k1" || string(g.Spec) != `{"x":1}` {
 		t.Fatalf("grant = %+v", g)
 	}
-	if _, ok := c.Lease("w2"); ok {
+	if _, ok := tryLease(c, "w2"); ok {
 		t.Fatal("second lease granted for an empty queue")
 	}
 	if err := c.Renew(g.Lease, "w1"); err != nil {
@@ -78,7 +88,7 @@ func TestExpiredLeaseRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, ok := c.Lease("stalled")
+	g1, ok := tryLease(c, "stalled")
 	if !ok {
 		t.Fatal("no grant")
 	}
@@ -87,7 +97,7 @@ func TestExpiredLeaseRequeues(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var g2 *Grant
 	for time.Now().Before(deadline) {
-		if g, ok := c.Lease("healthy"); ok {
+		if g, ok := tryLease(c, "healthy"); ok {
 			g2 = g
 			break
 		}
@@ -149,7 +159,7 @@ func TestMaxRequeuesFails(t *testing.T) {
 				return
 			default:
 			}
-			c.Lease("black-hole")
+			tryLease(c, "black-hole")
 			time.Sleep(5 * time.Millisecond)
 		}
 	}()
@@ -171,7 +181,7 @@ func TestAbandonInvalidatesLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, ok := c.Lease("w")
+	g, ok := tryLease(c, "w")
 	if !ok || g.Job != idA {
 		t.Fatalf("grant = %+v, %v", g, ok)
 	}
@@ -185,7 +195,7 @@ func TestAbandonInvalidatesLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Abandon(idB)
-	if g, ok := c.Lease("w"); ok {
+	if g, ok := tryLease(c, "w"); ok {
 		t.Fatalf("abandoned queued job was granted: %+v", g)
 	}
 }
@@ -207,7 +217,7 @@ func TestProgressForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, ok := c.Lease("w")
+	g, ok := tryLease(c, "w")
 	if !ok {
 		t.Fatal("no grant")
 	}
@@ -256,7 +266,7 @@ func TestClassOrderedLeasing(t *testing.T) {
 
 	var order []string
 	for k := 0; k < 4; k++ {
-		g, ok := c.Lease("w1")
+		g, ok := tryLease(c, "w1")
 		if !ok {
 			t.Fatalf("lease %d: no grant", k)
 		}

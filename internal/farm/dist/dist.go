@@ -13,9 +13,10 @@
 // pim-render/spec/v1 documents; payloads are pim-render/result/v1
 // documents) without
 // an import cycle. The coordinator plugs in as the body of a farm Task's
-// Run closure: the farm keeps job lifecycle, SSE event streams, retry
-// budget, singleflight dedup, and the memory/store cache tiers; dist adds
-// only the process split and the wire protocol. Because workers execute
+// Run closure: the farm keeps job lifecycle, SSE event streams,
+// singleflight dedup, and the memory/store cache tiers; dist owns
+// dispatch — where jobs wait, how workers wait for them, and the lease
+// requeue that is the only way a job runs again. Because workers execute
 // through core.RunCachedContext against a shared store directory, a
 // result computed on any node is a warm hit everywhere.
 package dist
@@ -91,7 +92,8 @@ type LeaseRequest struct {
 }
 
 // Grant is a granted lease: one job plus the TTL the worker must renew
-// within. A 204 response means the queue is empty.
+// within. A 204 response means the coordinator's wait cap passed with no
+// job queued.
 type Grant struct {
 	Lease string          `json:"lease"`
 	Job   string          `json:"job"`

@@ -17,7 +17,7 @@ import (
 // responses are JSON {"error": ...} bodies with meaningful status codes
 // either way.
 //
-//	POST /v1/leases               lease one job (204 when the queue is empty)
+//	POST /v1/leases               lease one job; waits for one, 204 when the wait cap passes
 //	POST /v1/leases/{id}/renew    heartbeat; extends the TTL
 //	POST /v1/leases/{id}/progress forward a progress document to the job's stream
 //	POST /v1/leases/{id}/complete deliver the result payload or execution error
@@ -36,12 +36,16 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, err)
 		return
 	}
-	g, ok := c.Lease(req.Worker)
-	if !ok {
+	g, err := c.Lease(r.Context(), req.Worker)
+	switch {
+	case errors.Is(err, ErrClosed):
+		jsonError(w, http.StatusServiceUnavailable, err)
+	case g == nil:
+		// The wait cap passed, or the client left and hears nothing.
 		w.WriteHeader(http.StatusNoContent)
-		return
+	default:
+		jsonBody(w, http.StatusOK, g)
 	}
-	jsonBody(w, http.StatusOK, g)
 }
 
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
@@ -175,8 +179,9 @@ func readAPIError(r io.Reader) string {
 	return string(bytes.TrimSpace(raw))
 }
 
-// Lease asks the coordinator for one job. A nil grant with nil error
-// means the queue is empty (poll again later).
+// Lease asks the coordinator for one job; the coordinator holds the
+// request until a job is queued or its wait cap passes. A nil grant with
+// nil error means the cap passed with nothing queued (ask again).
 func (c *Client) Lease(ctx context.Context) (*Grant, error) {
 	var g Grant
 	status, err := c.post(ctx, "/v1/leases", LeaseRequest{Worker: c.Worker}, &g)

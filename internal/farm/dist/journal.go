@@ -2,11 +2,13 @@ package dist
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -264,8 +266,8 @@ func (j *Journal) compactLocked() error {
 }
 
 // Pending returns the enqueue records with no terminal record, in
-// original submission order — the jobs a restarted coordinator must
-// replay.
+// original submission order (sequence number, then id) — the jobs a
+// restarted coordinator must replay.
 func (j *Journal) Pending() []Record {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -277,7 +279,11 @@ func (j *Journal) pendingLocked() []Record {
 	for _, rec := range j.pending {
 		out = append(out, rec)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
+	// Ids break Seq ties (only a corrupt journal has them), so replay
+	// order never depends on map iteration.
+	slices.SortFunc(out, func(a, b Record) int {
+		return cmp.Or(cmp.Compare(a.Seq, b.Seq), strings.Compare(a.ID, b.ID))
+	})
 	return out
 }
 

@@ -11,9 +11,11 @@ import (
 	"repro/internal/obs/slogx"
 )
 
-// DefaultPoll is the idle poll interval between lease attempts when the
-// coordinator reports an empty queue or is unreachable.
-const DefaultPoll = 500 * time.Millisecond
+// leaseBackoff is how long a lease slot sleeps after a failed lease
+// request (coordinator unreachable, restarting or closed). An empty lease
+// is not a failure: the coordinator already waited for work, so the slot
+// asks again at once.
+const leaseBackoff = 500 * time.Millisecond
 
 // progressMinInterval throttles progress forwarding within one stage:
 // simulation progress callbacks fire per tile group, far faster than the
@@ -30,9 +32,10 @@ type ExecFunc func(ctx context.Context, g *Grant, progress func(any)) (payload, 
 
 // Transport is the worker's side of the lease protocol. *Client speaks
 // it to a remote coordinator over HTTP; Coordinator.Local speaks it to a
-// coordinator in the same process. Lease returns a nil grant when there
-// is no work; Renew, Progress and Complete answer a lost lease with an
-// error IsGone recognises.
+// coordinator in the same process. Lease waits for work on the
+// coordinator and returns a nil grant when its wait cap passes; Renew,
+// Progress and Complete answer a lost lease with an error IsGone
+// recognises.
 type Transport interface {
 	Lease(ctx context.Context) (*Grant, error)
 	Renew(ctx context.Context, leaseID string) error
@@ -54,24 +57,18 @@ type Worker struct {
 	Exec ExecFunc
 	// Slots is the number of concurrent leases; <= 0 selects 1.
 	Slots int
-	// Poll is the idle/retry interval; <= 0 selects DefaultPoll.
-	Poll time.Duration
 	// Log receives worker lifecycle lines; nil discards.
 	Log *slog.Logger
 }
 
 // Run pulls and executes jobs until ctx is canceled. It returns ctx's
-// error; a dead coordinator is retried at the poll interval, never fatal
+// error; a dead coordinator is retried after a fixed backoff, never fatal
 // (the farm may restart while workers stay up — journal replay refills
 // the queue they draw from).
 func (w *Worker) Run(ctx context.Context) error {
 	slots := w.Slots
 	if slots <= 0 {
 		slots = 1
-	}
-	poll := w.Poll
-	if poll <= 0 {
-		poll = DefaultPoll
 	}
 	log := w.Log
 	if log == nil {
@@ -82,15 +79,16 @@ func (w *Worker) Run(ctx context.Context) error {
 	for i := 0; i < slots; i++ {
 		go func(slot int) {
 			defer wg.Done()
-			w.loop(ctx, slot, poll, log)
+			w.loop(ctx, slot, log)
 		}(i)
 	}
 	wg.Wait()
 	return ctx.Err()
 }
 
-// loop is one lease slot: lease, execute, complete, repeat.
-func (w *Worker) loop(ctx context.Context, slot int, poll time.Duration, log *slog.Logger) {
+// loop is one lease slot: lease, execute, complete, repeat. It sleeps
+// only after a failed lease request (see leaseBackoff).
+func (w *Worker) loop(ctx context.Context, slot int, log *slog.Logger) {
 	for ctx.Err() == nil {
 		g, err := w.Client.Lease(ctx)
 		if err != nil {
@@ -98,11 +96,10 @@ func (w *Worker) loop(ctx context.Context, slot int, poll time.Duration, log *sl
 				return
 			}
 			log.Warn("lease request failed", "slot", slot, "err", err.Error())
-			sleep(ctx, poll)
+			sleep(ctx, leaseBackoff)
 			continue
 		}
 		if g == nil {
-			sleep(ctx, poll)
 			continue
 		}
 		log.Info("leased", "slot", slot, "lease", g.Lease, "job", g.Job, "label", g.Label)

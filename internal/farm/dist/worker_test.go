@@ -16,17 +16,7 @@ import (
 
 func testWire(t *testing.T, cfg Config) (*Coordinator, *httptest.Server) {
 	t.Helper()
-	if cfg.Metrics == nil {
-		cfg.Metrics = telem.NewRegistry()
-	}
-	c := NewCoordinator(cfg)
-	mux := http.NewServeMux()
-	c.Routes(mux)
-	ts := httptest.NewServer(mux)
-	t.Cleanup(func() {
-		ts.Close()
-		c.Close()
-	})
+	c, ts, _ := leaseWire(t, cfg)
 	return c, ts
 }
 
@@ -58,7 +48,6 @@ func TestWorkerPullLoop(t *testing.T) {
 	w := &Worker{
 		Client: &Client{Base: ts.URL, Worker: "test-worker"},
 		Slots:  2,
-		Poll:   10 * time.Millisecond,
 		Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, []byte, error) {
 			progress(map[string]any{"stage": "go", "job": g.Job})
 			var spec struct {
@@ -118,7 +107,6 @@ func TestWorkerHeartbeatOutlivesTTL(t *testing.T) {
 	defer cancel()
 	w := &Worker{
 		Client: &Client{Base: ts.URL, Worker: "slowpoke"},
-		Poll:   10 * time.Millisecond,
 		Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, []byte, error) {
 			select {
 			case <-time.After(500 * time.Millisecond): // ~4 TTLs
@@ -161,7 +149,6 @@ func TestWorkerAbortsOnLostLease(t *testing.T) {
 	defer cancel()
 	w := &Worker{
 		Client: &Client{Base: ts.URL, Worker: "victim"},
-		Poll:   10 * time.Millisecond,
 		Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, []byte, error) {
 			close(started)
 			select {
@@ -200,7 +187,6 @@ func TestWorkerReportsExecErrors(t *testing.T) {
 	defer cancel()
 	w := &Worker{
 		Client: &Client{Base: ts.URL, Worker: "honest"},
-		Poll:   10 * time.Millisecond,
 		Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, []byte, error) {
 			return nil, nil, fmt.Errorf("synthetic failure")
 		},
@@ -219,9 +205,10 @@ func TestWorkerReportsExecErrors(t *testing.T) {
 
 // TestHTTPErrorShapes: the lease endpoints answer JSON error bodies with
 // the documented status codes (400 on bad bodies, 410 on lost leases,
-// 204 on an empty queue).
+// 204 once the lease wait cap passes on an empty queue). The short TTL
+// keeps that cap, TTL/2, brief.
 func TestHTTPErrorShapes(t *testing.T) {
-	_, ts := testWire(t, Config{TTL: time.Minute})
+	_, ts := testWire(t, Config{TTL: 100 * time.Millisecond})
 
 	post := func(path, body string) (int, map[string]any) {
 		t.Helper()
@@ -250,23 +237,181 @@ func TestHTTPErrorShapes(t *testing.T) {
 	}
 }
 
-// TestLocalWorkerStaysLiveWhileIdle: an in-process worker waiting for
-// work still counts as live, as a polling remote worker does.
+// TestLocalWorkerStaysLiveWhileIdle: a worker waiting for work still
+// counts as live, in process or over HTTP: it asks again once per wait
+// cap (TTL/2), well inside the liveness window (3*TTL).
 func TestLocalWorkerStaysLiveWhileIdle(t *testing.T) {
-	c := testCoordinator(t, Config{TTL: 40 * time.Millisecond})
+	for _, remote := range []bool{false, true} {
+		name := map[bool]string{false: "in-process", true: "http"}[remote]
+		t.Run(name, func(t *testing.T) {
+			c, ts := testWire(t, Config{TTL: 40 * time.Millisecond})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			w := &Worker{
+				Client: c.Local(name),
+				Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, []byte, error) {
+					return nil, nil, nil
+				},
+			}
+			if remote {
+				w.Client = &Client{Base: ts.URL, Worker: name}
+			}
+			go w.Run(ctx)
+
+			time.Sleep(300 * time.Millisecond) // more than twice the liveness window
+			views := c.Workers()
+			if len(views) != 1 || views[0].ID != name || !views[0].Live {
+				t.Fatalf("idle %s worker: %+v", name, views)
+			}
+		})
+	}
+}
+
+// leaseWire serves c's lease protocol over HTTP. Every POST /v1/leases
+// handler that returns also sends on the returned channel (dropped when
+// nobody listens). Cleanup closes the coordinator first, which releases
+// parked lease requests that would otherwise hold the server's Close.
+func leaseWire(t *testing.T, cfg Config) (*Coordinator, *httptest.Server, <-chan struct{}) {
+	t.Helper()
+	if cfg.Metrics == nil {
+		cfg.Metrics = telem.NewRegistry()
+	}
+	c := NewCoordinator(cfg)
+	mux := http.NewServeMux()
+	c.Routes(mux)
+	returned := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mux.ServeHTTP(w, r)
+		if r.URL.Path == "/v1/leases" {
+			select {
+			case returned <- struct{}{}:
+			default:
+			}
+		}
+	}))
+	t.Cleanup(func() {
+		c.Close()
+		ts.Close()
+	})
+	return c, ts, returned
+}
+
+// TestRemoteWorkerTakesJobAtOnce: after an empty lease a remote worker
+// asks again at once and waits on the coordinator, so a job enqueued right
+// after that empty answer starts within 100 ms — no poll interval.
+func TestRemoteWorkerTakesJobAtOnce(t *testing.T) {
+	c, ts, returned := leaseWire(t, Config{TTL: time.Second})
+	started := make(chan time.Time, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w := &Worker{
-		Client: c.Local("inproc"),
+		Client: &Client{Base: ts.URL, Worker: "remote"},
 		Exec: func(ctx context.Context, g *Grant, progress func(any)) ([]byte, []byte, error) {
-			return nil, nil, nil
+			started <- time.Now()
+			return []byte("ok"), nil, nil
 		},
 	}
 	go w.Run(ctx)
 
-	time.Sleep(300 * time.Millisecond) // more than twice the liveness window
-	views := c.Workers()
-	if len(views) != 1 || views[0].ID != "inproc" || !views[0].Live {
-		t.Fatalf("idle in-process worker: %+v", views)
+	select {
+	case <-returned: // the first lease found nothing queued
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never asked for work")
+	}
+	enqueued := time.Now()
+	_, ch, err := c.Enqueue(Job{Label: "prompt", Spec: json.RawMessage(`{}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := waitOutcome(t, ch, 10*time.Second); o.Err != "" {
+		t.Fatalf("outcome = %+v", o)
+	}
+	if d := (<-started).Sub(enqueued); d >= 100*time.Millisecond {
+		t.Fatalf("job started %v after enqueue, want < 100ms", d)
+	}
+}
+
+// TestLeaseDisconnectGrantsNothing: a worker that gives up on a parked
+// HTTP lease is granted nothing; a job enqueued afterwards stays queued
+// for the next worker and costs no requeue.
+func TestLeaseDisconnectGrantsNothing(t *testing.T) {
+	c, ts, returned := leaseWire(t, Config{TTL: time.Minute})
+	ctx, cancel := context.WithCancel(context.Background())
+	leased := make(chan *Grant, 1)
+	go func() {
+		g, _ := (&Client{Base: ts.URL, Worker: "quitter"}).Lease(ctx)
+		leased <- g
+	}()
+	waitWorkers(t, c, 1) // the lease is parked in the coordinator
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked lease outlived its client")
+	}
+	if g := <-leased; g != nil {
+		t.Fatalf("disconnected client got grant %+v", g)
+	}
+
+	_, ch, err := c.Enqueue(Job{Label: "orphan-proof", Spec: json.RawMessage(`{}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Queued != 1 || st.LeaseOps.Grants != 0 {
+		t.Fatalf("after disconnect: queued %d, grants %d; want 1, 0", st.Queued, st.LeaseOps.Grants)
+	}
+	g, ok := tryLease(c, "next")
+	if !ok {
+		t.Fatal("job not queued for the next worker")
+	}
+	if err := c.Complete(g.Lease, CompleteRequest{Worker: "next", Payload: []byte("ok")}); err != nil {
+		t.Fatal(err)
+	}
+	if o := waitOutcome(t, ch, time.Second); o.Requeues != 0 || o.Worker != "next" {
+		t.Fatalf("outcome = %+v, want no requeue, worker next", o)
+	}
+	if st := c.Stats(); st.LeaseOps.Requeues != 0 || st.LeaseOps.Expires != 0 {
+		t.Fatalf("lease ops = %+v", st.LeaseOps)
+	}
+}
+
+// TestCloseReleasesParkedLeases: Close answers every parked lease at
+// once, over HTTP (503) and in process (ErrClosed), rather than after the
+// wait cap.
+func TestCloseReleasesParkedLeases(t *testing.T) {
+	c, ts, _ := leaseWire(t, Config{TTL: time.Minute}) // wait cap: 20 s
+	errs := make(chan error, 2)
+	for _, tr := range []Transport{&Client{Base: ts.URL, Worker: "remote"}, c.Local("in-process")} {
+		go func() {
+			g, err := tr.Lease(context.Background())
+			if g != nil {
+				err = fmt.Errorf("granted %+v", g)
+			}
+			errs <- err
+		}()
+	}
+	waitWorkers(t, c, 2)
+	c.Close()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), ErrClosed.Error()) {
+				t.Fatalf("parked lease after Close: %v, want %v", err, ErrClosed)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("Close left a lease parked")
+		}
+	}
+}
+
+// waitWorkers waits until the coordinator has heard from n workers.
+func waitWorkers(t *testing.T, c *Coordinator, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(c.Workers()) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers seen = %d, want %d", len(c.Workers()), n)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -1,7 +1,9 @@
 // Package farm is the render-farm job layer: singleflight deduplication
 // of identical in-flight work, an LRU-bounded result cache with an
-// optional durable tier, per-job retry with exponential backoff, SSE
-// lifecycle streams, cancellation, and graceful drain on shutdown.
+// optional durable tier, SSE lifecycle streams, cancellation, and
+// graceful drain on shutdown. The farm runs each task once; re-execution
+// belongs to whatever sits inside the Run closure (the lease coordinator
+// requeues a job whose worker died).
 //
 // The farm does not schedule: Submit never blocks, and each deduplicated
 // execution runs in its own goroutine. Whatever bounds the work sits in
@@ -34,8 +36,6 @@ const (
 	// DefaultRetainDone bounds how many finished jobs the registry keeps
 	// for listing; the oldest are pruned first.
 	DefaultRetainDone = 1024
-	// DefaultBackoff seeds the exponential retry backoff.
-	DefaultBackoff = 10 * time.Millisecond
 	// DefaultEventRetention is how long finished jobs keep their full SSE
 	// replay rings before the janitor compacts them to the terminal event.
 	DefaultEventRetention = 10 * time.Minute
@@ -104,14 +104,6 @@ type Config struct {
 	// CacheCap bounds the result cache; < 0 disables caching, 0 selects
 	// DefaultCacheCap.
 	CacheCap int
-	// Retries is how many times a failed Run is retried (0 = no retries).
-	Retries int
-	// Backoff is the first retry delay, doubling per attempt; <= 0 selects
-	// DefaultBackoff.
-	Backoff time.Duration
-	// Retryable decides whether an error is transient; nil retries every
-	// error (when Retries > 0).
-	Retryable func(error) bool
 	// RetainDone bounds how many finished jobs stay listable; <= 0 selects
 	// DefaultRetainDone.
 	RetainDone int
@@ -144,7 +136,6 @@ type farmMetrics struct {
 	submitted                              *telem.Counter
 	done, failed, canceled                 *telem.Counter
 	deduped, cacheHits, tierHits, tierPuts *telem.Counter
-	retries                                *telem.Counter
 	running                                *telem.Gauge
 	runDur                                 *telem.Histogram
 }
@@ -168,12 +159,10 @@ func newFarmMetrics(r *telem.Registry) farmMetrics {
 			"Jobs served from the durable store tier.", nil),
 		tierPuts: r.Counter("pimfarm_tier_puts_total",
 			"Computed results written through to the durable store tier.", nil),
-		retries: r.Counter("pimfarm_job_retries_total",
-			"Task retry attempts after transient failures.", nil),
 		running: r.Gauge("pimfarm_jobs_running",
 			"Jobs currently executing.", nil),
 		runDur: r.Histogram("pimfarm_job_run_seconds",
-			"Task execution time (including retries) for computed jobs.", nil, nil),
+			"Task execution time for computed jobs.", nil, nil),
 	}
 }
 
@@ -189,11 +178,10 @@ type Counters struct {
 	CacheSize     int     `json:"cache_size"`
 	TierHits      uint64  `json:"tier_hits"`
 	TierPuts      uint64  `json:"tier_puts"`
-	Retries       uint64  `json:"retries"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// Farm runs Tasks with dedup, caching, retry and lifecycle tracking.
+// Farm runs Tasks with dedup, caching and lifecycle tracking.
 type Farm struct {
 	cfg Config
 	met farmMetrics
@@ -222,7 +210,6 @@ type Farm struct {
 	cacheHits atomic.Uint64
 	tierHits  atomic.Uint64
 	tierPuts  atomic.Uint64
-	retries   atomic.Uint64
 }
 
 // leader tracks one in-flight execution and the duplicate submissions
@@ -239,9 +226,6 @@ func New(cfg Config) *Farm {
 		cfg.CacheCap = DefaultCacheCap
 	case cfg.CacheCap < 0:
 		cfg.CacheCap = 0 // lru.New returns a nil (inert) cache
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = DefaultBackoff
 	}
 	if cfg.RetainDone <= 0 {
 		cfg.RetainDone = DefaultRetainDone
@@ -449,7 +433,6 @@ func (f *Farm) Counters() Counters {
 		CacheSize:     f.cache.Len(),
 		TierHits:      f.tierHits.Load(),
 		TierPuts:      f.tierPuts.Load(),
-		Retries:       f.retries.Load(),
 		UptimeSeconds: time.Since(f.t0).Seconds(),
 	}
 }
@@ -507,8 +490,8 @@ func (f *Farm) register(j *Job) {
 	f.order = kept
 }
 
-// execute runs one leader job with retry/backoff and completes it (and
-// any singleflight followers).
+// execute runs one leader job once and completes it (and any
+// singleflight followers).
 func (f *Farm) execute(j *Job) {
 	start := time.Now()
 	j.mu.Lock()
@@ -540,7 +523,7 @@ func (f *Farm) execute(j *Job) {
 
 	f.running.Add(1)
 	f.met.running.Inc()
-	v, err := f.runWithRetry(j)
+	v, err := j.run(j.ctx)
 	f.running.Add(-1)
 	f.met.running.Dec()
 
@@ -548,8 +531,7 @@ func (f *Farm) execute(j *Job) {
 	f.met.runDur.Observe(end.Sub(start).Seconds())
 
 	if f.cfg.Tracer.On() {
-		f.cfg.Tracer.SpanArg("farm/run", j.spanName(), f.us(start), f.us(end),
-			"attempts", int64(f.attempts(j)))
+		f.cfg.Tracer.Span("farm/run", j.spanName(), f.us(start), f.us(end))
 	}
 
 	if err != nil {
@@ -571,39 +553,6 @@ func (f *Farm) execute(j *Job) {
 		}
 	}
 	f.finish(j, Done, v, nil)
-}
-
-// runWithRetry executes the task, retrying transient failures with
-// exponential backoff while both the farm and the job's own context are
-// alive — a canceled job is never retried.
-func (f *Farm) runWithRetry(j *Job) (any, error) {
-	backoff := f.cfg.Backoff
-	for attempt := 0; ; attempt++ {
-		j.mu.Lock()
-		j.attempts = attempt + 1
-		j.mu.Unlock()
-		v, err := j.run(j.ctx)
-		if err == nil || attempt >= f.cfg.Retries {
-			return v, err
-		}
-		if j.ctx.Err() != nil {
-			return v, err
-		}
-		if f.cfg.Retryable != nil && !f.cfg.Retryable(err) {
-			return v, err
-		}
-		f.retries.Add(1)
-		f.met.retries.Inc()
-		select {
-		case <-time.After(backoff):
-		case <-j.ctx.Done():
-			if f.root.Err() != nil {
-				return nil, fmt.Errorf("%w (after %d attempts: %v)", ErrShutdown, attempt+1, err)
-			}
-			return nil, fmt.Errorf("farm: job canceled (after %d attempts: %v)", attempt+1, err)
-		}
-		backoff *= 2
-	}
 }
 
 // finish completes a job and its singleflight followers, updating counters
@@ -663,12 +612,6 @@ func (f *Farm) completeOne(j *Job, s State, v any, err error, now time.Time) {
 		j.cancel() // release the job context's resources
 	}
 	f.jobsWG.Done()
-}
-
-func (f *Farm) attempts(j *Job) int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.attempts
 }
 
 // us converts a wall-clock instant to microseconds since farm start (the

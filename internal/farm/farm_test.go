@@ -159,32 +159,12 @@ func TestCacheHitAfterCompletion(t *testing.T) {
 	}
 }
 
-func TestRetryBackoffThenSuccess(t *testing.T) {
-	f := New(Config{Retries: 3, Backoff: time.Millisecond})
-	defer mustClose(t, f)
-	var calls atomic.Int32
-	v, err := f.Do(context.Background(), Task{
-		Label: "flaky",
-		Run: func(context.Context) (any, error) {
-			if calls.Add(1) < 3 {
-				return nil, errors.New("transient")
-			}
-			return &value{3}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.(*value).n != 3 || calls.Load() != 3 {
-		t.Fatalf("v=%+v calls=%d, want success on third attempt", v, calls.Load())
-	}
-	if c := f.Counters(); c.Retries != 2 {
-		t.Fatalf("retries = %d, want 2", c.Retries)
-	}
-}
-
-func TestRetryExhausted(t *testing.T) {
-	f := New(Config{Retries: 2, Backoff: time.Millisecond})
+// TestFailedTaskRunsOnce: the farm runs a task once; a failing run
+// settles the job Failed with the task's error. Running a job again is
+// the lease coordinator's business (an expired lease requeues), not the
+// farm's.
+func TestFailedTaskRunsOnce(t *testing.T) {
+	f := New(Config{})
 	defer mustClose(t, f)
 	boom := errors.New("boom")
 	var calls atomic.Int32
@@ -201,30 +181,8 @@ func TestRetryExhausted(t *testing.T) {
 	if j.State() != Failed {
 		t.Fatalf("state = %v, want failed", j.State())
 	}
-	if calls.Load() != 3 { // initial + 2 retries
-		t.Fatalf("calls = %d, want 3", calls.Load())
-	}
-}
-
-func TestRetryableFilterStopsRetry(t *testing.T) {
-	fatal := errors.New("fatal")
-	f := New(Config{
-		Retries: 5, Backoff: time.Millisecond,
-		Retryable: func(err error) bool { return !errors.Is(err, fatal) },
-	})
-	defer mustClose(t, f)
-	var calls atomic.Int32
-	_, err := f.Do(context.Background(), Task{
-		Run: func(context.Context) (any, error) {
-			calls.Add(1)
-			return nil, fatal
-		},
-	})
-	if !errors.Is(err, fatal) {
-		t.Fatalf("err = %v", err)
-	}
 	if calls.Load() != 1 {
-		t.Fatalf("calls = %d, want 1 (non-retryable)", calls.Load())
+		t.Fatalf("calls = %d, want 1", calls.Load())
 	}
 }
 

@@ -19,7 +19,7 @@ const (
 	Running
 	// Done: finished successfully; Value holds the result.
 	Done
-	// Failed: finished with an error after exhausting retries.
+	// Failed: the task's one run returned an error.
 	Failed
 	// Canceled: the farm shut down before the job could run, or the job
 	// was canceled (Farm.Cancel) while queued or running.
@@ -90,7 +90,6 @@ type Job struct {
 	state    State
 	value    any
 	err      error
-	attempts int
 	deduped  bool
 	cacheHit bool
 	tierHit  bool
@@ -298,7 +297,6 @@ type View struct {
 	TraceID  string     `json:"trace_id,omitempty"`
 	State    string     `json:"state"`
 	Error    string     `json:"error,omitempty"`
-	Attempts int        `json:"attempts,omitempty"`
 	Deduped  bool       `json:"deduped,omitempty"`
 	CacheHit bool       `json:"cache_hit,omitempty"`
 	TierHit  bool       `json:"tier_hit,omitempty"`
@@ -330,7 +328,6 @@ func (j *Job) View() View {
 		AdmitWaitMS: float64(j.admitWait) / float64(time.Millisecond),
 		TraceID:     traceID(j.trace),
 		State:       j.state.String(),
-		Attempts:    j.attempts,
 		Deduped:     j.deduped,
 		CacheHit:    j.cacheHit,
 		TierHit:     j.tierHit,
