@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/farm"
 	"repro/internal/farm/dist"
 	"repro/internal/obs/telem"
@@ -21,13 +20,13 @@ import (
 // jobs (different frame indices, so none are cache hits) through the full
 // distributed path — HTTP submit, lease, worker-side simulation,
 // heartbeats, result upload, decode — and waits for all of them. The
-// setup/teardown of the farm trio is excluded from the timer; the run
-// cache is cleared per iteration so every job really simulates.
+// setup/teardown of the farm trio is excluded from the timer. Workers
+// keep no result cache and no store is attached, so every job really
+// simulates.
 func BenchmarkDistFarmThroughput(b *testing.B) {
 	const jobs = 8
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		core.ClearRunCache()
 		f := farm.New(farm.Config{})
 		coord := dist.NewCoordinator(dist.Config{TTL: time.Minute, Metrics: telem.NewRegistry()})
 		api := newServer(f, nil, coord)

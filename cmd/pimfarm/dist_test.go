@@ -112,11 +112,6 @@ func TestDistEndToEndMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The in-process test worker shares the global run cache with the
-	// local server above; clear it so the dist job genuinely re-simulates
-	// on the worker instead of being a warm memory hit.
-	core.ClearRunCache()
-
 	ts, _ := newDistTestServer(t, dist.Config{TTL: time.Minute})
 	startTestWorker(t, ts.URL, "e2e-worker")
 	jr, code = postJob(t, ts, body)
@@ -196,11 +191,11 @@ func TestDistEndToEndMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestDistSharedStoreWritesOnce: under -dist the worker's run-cache
-// write-through and the coordinator's farm tier share one store directory
-// (pimfarm -dist -store DIR plus pimfarm worker -store DIR). Each cold job
-// is encoded and written once between them, and the entry serves warm
-// hits on the worker and on a restarted coordinator.
+// TestDistSharedStoreWritesOnce: under -dist the worker's store chain and
+// the coordinator's farm tier share one store directory (pimfarm -dist
+// -store DIR plus pimfarm worker -store DIR). Each cold job is encoded and
+// written once between them, and the entry serves warm hits on the worker
+// and on a restarted coordinator.
 func TestDistSharedStoreWritesOnce(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *store.Store {
@@ -213,7 +208,6 @@ func TestDistSharedStoreWritesOnce(t *testing.T) {
 	workerStore := open()
 	core.SetResultStore(workerStore)
 	t.Cleanup(func() { core.SetResultStore(nil) })
-	core.ClearRunCache()
 
 	coordStore := open()
 	ts, _ := newDistStoreServer(t, dist.Config{TTL: time.Minute}, coordStore)
@@ -237,8 +231,8 @@ func TestDistSharedStoreWritesOnce(t *testing.T) {
 		}
 	}
 
-	// A worker that lost its memory cache reads the entry back from disk.
-	core.ClearRunCache()
+	// RunCached in the worker's process reads the entry back from disk:
+	// the worker kept no memory copy.
 	disk := core.RunCacheCounters()["disk"]
 	if _, err := core.RunCached(workload.MustGet("doom3", 160, 120), core.Options{Design: config.Baseline}); err != nil {
 		t.Fatal(err)
@@ -318,7 +312,6 @@ func TestDistWorkerDeathRequeues(t *testing.T) {
 // serves its frame-anatomy artifact — the remote worker captures it and
 // ships it back on the completion.
 func TestDistJobProfile(t *testing.T) {
-	core.ClearRunCache() // the profiled job must really simulate
 	ts, _ := newDistTestServer(t, dist.Config{TTL: time.Minute})
 	startTestWorker(t, ts.URL, "profile-worker")
 
@@ -352,7 +345,6 @@ func TestDistJobProfile(t *testing.T) {
 // progress throttle interval; a stage boundary is always forwarded, so a
 // dist job's event stream still ends its progress with "done".
 func TestDistJobEventsReachDone(t *testing.T) {
-	core.ClearRunCache() // the job must really simulate to emit progress
 	ts, _ := newDistTestServer(t, dist.Config{TTL: time.Minute})
 	startTestWorker(t, ts.URL, "events-worker")
 

@@ -1,11 +1,12 @@
 // Command pimfarm serves render-farm jobs over HTTP: submit a simulation
 // as JSON options, poll its status, and read the pim-render/metrics/v1
 // snapshot back when it finishes. Identical in-flight submissions collapse
-// into one simulation and completed results are served from an LRU cache.
+// into one simulation and completed results are served from an LRU cache
+// (farm.DefaultCacheCap entries).
 //
 // Usage:
 //
-//	pimfarm -addr :8080 -workers 8 -queue 256 -cachecap 512
+//	pimfarm -addr :8080 -workers 8 -queue 256
 //
 //	curl -s localhost:8080/v1/jobs -d '{"game":"doom3","width":320,"height":240,"design":"atfim"}'
 //	curl -s localhost:8080/v1/jobs/job-000001
@@ -63,10 +64,9 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "in-process worker slots, and the -admit-slots default (0 = GOMAXPROCS, or 64 under -dist)")
 		queue     = flag.Int("queue", admit.DefaultQueueDepth, "per-class admission queue depth")
-		cachecap  = flag.Int("cachecap", farm.DefaultCacheCap, "result cache entries (-1 disables)")
 		drainSecs = flag.Int("drain", 60, "max seconds to drain on shutdown before forcing")
 		tracefile = flag.String("tracefile", "", "write farm job-lifecycle spans as Chrome trace JSON on shutdown")
-		storeDir  = flag.String("store", "", "durable result-store directory; completed jobs survive restarts")
+		storeDir  = flag.String("store", "", "durable result-store directory; the in-process worker writes each computed result there and completed jobs survive restarts")
 		shards    = flag.Int("shards", 0, "default frame tile-scan shards for jobs that do not set one (0 = GOMAXPROCS, 1 = serial)")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
@@ -121,17 +121,7 @@ func main() {
 	}
 	var st *store.Store
 	if *storeDir != "" {
-		var err error
-		st, err = store.Open(store.Config{Dir: *storeDir, Tracer: tracer})
-		if err != nil {
-			fatal(err)
-		}
-		// The farm tier alone carries persistence here: it serves completed
-		// jobs from disk before the task runs and writes each computed result
-		// through exactly once. The in-process worker therefore leaves the
-		// store off core.RunCached (attaching it there as well would just
-		// duplicate every write); remote workers attach their own.
-		log.Info("store open", "dir", st.Dir(), "entries", st.Len(), "bytes", st.Size())
+		st = openStore(log, store.Config{Dir: *storeDir, Tracer: tracer})
 	}
 	slots := *workers
 	if slots <= 0 {
@@ -143,7 +133,6 @@ func main() {
 		}
 	}
 	f := farm.New(farm.Config{
-		CacheCap:       *cachecap,
 		Tracer:         tracer,
 		Tier:           core.StoreTier(st),
 		EventRetention: *eventTTL,

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -19,7 +18,6 @@ func TestJobProfileEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real simulation")
 	}
-	core.ClearRunCache() // the profiled job must really simulate
 	ts, _ := newTestServer(t)
 
 	submit := func(body string) jobResponse {

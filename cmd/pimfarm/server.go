@@ -223,8 +223,7 @@ func newServer(f *farm.Farm, st *store.Store, coord *dist.Coordinator) *server {
 
 // localWorker builds the in-process worker of local mode: slots lease
 // loops on the coordinator's in-process transport, executing through
-// execGrant exactly as a remote worker does. It leaves the result store
-// to the farm tier, which already writes every computed result through.
+// execGrant exactly as a remote worker does.
 func (s *server) localWorker(slots int) *dist.Worker {
 	return &dist.Worker{Client: s.coord.Local("in-process"), Slots: slots, Log: s.log, Exec: execGrant}
 }
@@ -451,8 +450,8 @@ func writeOverload(w http.ResponseWriter, r *http.Request, err error) {
 // buildTask resolves the spec through the canonical Spec → Options/
 // CacheKey mapping and assembles the farm task, whose Run closure
 // dispatches the job to a worker through the coordinator. The farm keeps
-// everything else about the job: dedup key, SSE lifecycle, retry budget
-// and cache tiers.
+// everything else about the job: dedup key, SSE lifecycle and cache
+// tiers.
 func (s *server) buildTask(req *suite.Spec, origin string) (farm.Task, error) {
 	rv, err := req.Resolve()
 	if err != nil {
@@ -480,8 +479,8 @@ func (s *server) buildTask(req *suite.Spec, origin string) (farm.Task, error) {
 // republished onto the job's SSE stream (GET /v1/jobs/{id}/events), and a
 // captured frame profile is kept for GET /v1/jobs/{id}/profile. Lease
 // expiries (worker crashed or stalled) requeue inside the coordinator
-// without returning from Run, so the farm's retry budget is spent only on
-// genuine execution errors. The job's context is canceled by DELETE
+// without returning from Run; that requeue is the only way a job runs
+// again. The job's context is canceled by DELETE
 // /v1/jobs/{id}, by a waiting client disconnecting, or on forced
 // shutdown; canceling abandons the dispatch, which invalidates any
 // outstanding lease so the worker stops.

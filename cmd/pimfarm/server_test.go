@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,12 +15,14 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/farm"
 	"repro/internal/farm/dist"
 	"repro/internal/obs"
 	"repro/internal/obs/telem"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *farm.Farm) {
@@ -38,9 +43,15 @@ func newTestServer(t *testing.T) (*httptest.Server, *farm.Farm) {
 // newLocalServer builds a local-mode API server over f: a coordinator
 // with a private metrics registry plus an in-process worker of slots
 // slots, both stopped when the test ends (after any farm shutdown the test
-// registers later, so draining jobs still have their worker).
+// registers later, so draining jobs still have their worker). A non-nil
+// st is attached to the worker's store chain, as openStore does for
+// pimfarm -store, and detached when the test ends.
 func newLocalServer(t *testing.T, f *farm.Farm, st *store.Store, slots int) *server {
 	t.Helper()
+	if st != nil {
+		core.SetResultStore(st)
+		t.Cleanup(func() { core.SetResultStore(nil) })
+	}
 	coord := dist.NewCoordinator(dist.Config{Metrics: telem.NewRegistry()})
 	api := newServer(f, st, coord)
 	stop := startWorker(api.localWorker(slots))
@@ -306,7 +317,7 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	body := `{"game":"doom3","width":320,"height":240,"design":"baseline"}`
 
-	runOnce := func() (jobResponse, farm.Counters) {
+	runOnce := func() (jobResponse, farm.Counters, store.Counters) {
 		st, err := store.Open(store.Config{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
@@ -329,17 +340,16 @@ func TestStoreSurvivesRestart(t *testing.T) {
 		if final.State != "done" {
 			t.Fatalf("state = %s (%s)", final.State, final.Error)
 		}
-		return final, f.Counters()
+		return final, f.Counters(), st.Counters()
 	}
 
-	cold, c1 := runOnce()
-	if c1.TierHits != 0 || c1.TierPuts != 1 {
-		t.Fatalf("cold run: tier_hits=%d tier_puts=%d, want 0/1", c1.TierHits, c1.TierPuts)
+	cold, c1, s1 := runOnce()
+	if c1.TierHits != 0 || s1.Puts != 1 {
+		t.Fatalf("cold run: tier_hits=%d store puts=%d, want 0/1", c1.TierHits, s1.Puts)
 	}
 
-	// Simulate a restart: new farm, new memory caches, same store dir.
-	core.ClearRunCache()
-	warm, c2 := runOnce()
+	// Simulate a restart: new farm, new worker, same store dir.
+	warm, c2, _ := runOnce()
 	if c2.TierHits != 1 {
 		t.Fatalf("warm run: tier_hits=%d, want 1 (job was re-simulated)", c2.TierHits)
 	}
@@ -353,6 +363,78 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	warmJSON, _ := json.Marshal(warm.Result)
 	if string(coldJSON) != string(warmJSON) {
 		t.Error("restored result's metrics differ from the original run")
+	}
+}
+
+// TestLocalStoreWritesOnce: local mode with -store. openStore attaches the
+// store to the in-process worker's chain, which owns the write: one cold
+// job writes one entry, the payload the worker shipped is that entry's
+// payload byte for byte, and the worker keeps no memory copy — a later
+// RunCached of the same cell is a disk hit, not a memory one.
+func TestLocalStoreWritesOnce(t *testing.T) {
+	st := openStore(slog.New(slog.NewTextHandler(io.Discard, nil)),
+		store.Config{Dir: t.TempDir(), Metrics: telem.NewRegistry()})
+	t.Cleanup(func() { core.SetResultStore(nil) })
+
+	f := farm.New(farm.Config{Tier: core.StoreTier(st)})
+	coord := dist.NewCoordinator(dist.Config{Metrics: telem.NewRegistry()})
+	api := newServer(f, st, coord)
+	var (
+		mu      sync.Mutex
+		shipped [][]byte
+	)
+	w := api.localWorker(1)
+	exec := w.Exec
+	w.Exec = func(ctx context.Context, g *dist.Grant, progress func(any)) ([]byte, []byte, error) {
+		payload, profile, err := exec(ctx, g, progress)
+		mu.Lock()
+		shipped = append(shipped, payload)
+		mu.Unlock()
+		return payload, profile, err
+	}
+	stop := startWorker(w)
+	ts := httptest.NewServer(api)
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := f.Close(ctx); err != nil {
+			t.Error(err)
+		}
+		stop()
+		coord.Close()
+	})
+
+	wl := workload.MustGet("riddick", 160, 120)
+	opts := core.Options{Design: config.ATFIM}
+	jr, code := postJob(t, ts, `{"game":"riddick","width":160,"height":120,"design":"atfim"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST status = %d", code)
+	}
+	if final := pollJob(t, ts, jr.ID); final.State != "done" || final.TierHit {
+		t.Fatalf("cold job: %s tier_hit=%v (%s)", final.State, final.TierHit, final.Error)
+	}
+	if c := st.Counters(); c.Puts != 1 {
+		t.Fatalf("store puts = %d after one cold job, want 1", c.Puts)
+	}
+	stored, _, ok := st.Get(core.CacheKey(wl, opts))
+	if !ok {
+		t.Fatal("no store entry for the cold job")
+	}
+	mu.Lock()
+	if len(shipped) != 1 || !bytes.Equal(shipped[0], stored) {
+		t.Fatalf("worker shipped %d payloads; the first is not the stored entry's payload", len(shipped))
+	}
+	mu.Unlock()
+
+	before := core.RunCacheCounters()
+	if _, err := core.RunCached(wl, opts); err != nil {
+		t.Fatal(err)
+	}
+	after := core.RunCacheCounters()
+	if after["disk"] != before["disk"]+1 || after["memory"] != before["memory"] {
+		t.Fatalf("RunCached after the job: disk %d -> %d, memory %d -> %d; want one disk hit",
+			before["disk"], after["disk"], before["memory"], after["memory"])
 	}
 }
 

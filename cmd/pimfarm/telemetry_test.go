@@ -67,7 +67,6 @@ func TestJobEventsStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real simulation")
 	}
-	core.ClearRunCache() // the job must really simulate to emit progress
 	ts, _ := newTestServer(t)
 
 	jr, code := postJob(t, ts, `{"game":"doom3","width":320,"height":240,"design":"atfim","shards":2}`)

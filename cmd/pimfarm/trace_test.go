@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/farm"
 	"repro/internal/farm/dist"
 	"repro/internal/obs"
@@ -81,10 +80,6 @@ func eventIndex(t *testing.T, doc traceDoc) map[string]interval {
 // with worker spans clamped inside the lease window after skew
 // correction, and the stage aggregates appear in /v1/traces/summary.
 func TestDistTraceEndToEnd(t *testing.T) {
-	// The in-process worker shares the global run cache with earlier
-	// tests; clear it so this job genuinely simulates (stage spans exist).
-	core.ClearRunCache()
-
 	ts, _ := newDistTestServer(t, dist.Config{TTL: time.Minute})
 	startTestWorker(t, ts.URL, "trace-worker")
 
@@ -215,7 +210,6 @@ func spanNames(doc traceDoc) []string {
 // dist mode — its in-process worker reports spans through the lease
 // protocol like a remote one, wire spans included.
 func TestLocalTraceTimeline(t *testing.T) {
-	core.ClearRunCache()
 	ts, _ := newTestServer(t)
 
 	jr, code := postJob(t, ts, `{"game":"doom3","width":320,"height":240,"design":"bpim"}`)

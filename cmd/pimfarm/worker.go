@@ -2,9 +2,9 @@ package main
 
 // pimfarm worker: the pull side of the distributed farm. A worker process
 // long-polls the coordinator for leases, simulates each granted job with the
-// same execGrant local mode's in-process worker runs (memory → shared
-// store → compute), and streams progress and the encoded result back over
-// HTTP. Heartbeats renew the lease while the simulation runs; if the
+// same execGrant local mode's in-process worker runs (shared store →
+// compute → store write), and streams progress and the encoded result back
+// over HTTP. Heartbeats renew the lease while the simulation runs; if the
 // coordinator declares the lease gone (job canceled, or this worker was
 // presumed dead), execution is aborted promptly.
 
@@ -64,16 +64,7 @@ func workerMain(args []string) {
 	}
 
 	if *storeDir != "" {
-		st, err := store.Open(store.Config{Dir: *storeDir})
-		if err != nil {
-			fatal(err)
-		}
-		// Workers attach the store to the run-cache tier chain directly:
-		// a job another node already computed is a disk hit here, and every
-		// result this worker computes lands in the shared directory for the
-		// coordinator and its siblings to serve warm.
-		core.SetResultStore(st)
-		log.Info("store open", "dir", st.Dir(), "entries", st.Len(), "bytes", st.Size())
+		openStore(log, store.Config{Dir: *storeDir})
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -93,6 +84,22 @@ func workerMain(args []string) {
 	log.Info("worker stopped", "id", *id)
 }
 
+// openStore opens the durable result store and attaches it to core's
+// store → compute → write chain, which execGrant runs. Every pimfarm
+// process with -store does this, so whichever worker simulates a job — a
+// remote one or local mode's in-process one — writes its result once, and
+// a job another node already computed is a disk hit here. A coordinator's
+// farm only reads the store (core.StoreTier).
+func openStore(log *slog.Logger, cfg store.Config) *store.Store {
+	st, err := store.Open(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	core.SetResultStore(st)
+	log.Info("store open", "dir", st.Dir(), "entries", st.Len(), "bytes", st.Size())
+	return st
+}
+
 // startWorker runs w until the returned stop function is called; stop
 // returns once every lease loop has exited.
 func startWorker(w *dist.Worker) (stop func()) {
@@ -109,8 +116,11 @@ func startWorker(w *dist.Worker) (stop func()) {
 }
 
 // execGrant simulates one leased job — the one place a spec becomes a
-// core.RunCachedContext call, for remote workers and for local mode's
-// in-process worker alike. The grant spec is the canonical
+// core.RunPayload call, for remote workers and for local mode's in-process
+// worker alike. It ships the exact bytes the store chain read or wrote: a
+// disk hit is never re-encoded and a computed result is encoded once. The
+// worker keeps no results in memory; the coordinator's farm LRU is the
+// serving path's memory tier. The grant spec is the canonical
 // pim-render/spec/v1 document (suite.Spec) the coordinator accepted, the
 // result payload the pim-render/result/v1 document the coordinator
 // decodes. Decoding is lenient (unknown fields ignored) so a slightly
@@ -121,14 +131,15 @@ func startWorker(w *dist.Worker) (stop func()) {
 // the progress callback, which the coordinator republishes onto the job's
 // SSE stream. A spec with "profile": true also returns its
 // pim-render/frameprofile/v1 document — when the job really simulated;
-// a cache hit has no frame anatomy to report.
+// a store hit has no frame anatomy to report.
 //
 // When the grant carried a sampled trace context, dist.Worker put a span
-// recorder on ctx: the resolve/tiers/run/simulate-stage/encode spans
-// recorded here ship back to the coordinator inside the completion
-// request and become the worker half of GET /v1/jobs/{id}/trace. The
-// "tiers" span is the cache lookup — everything before the first
-// progress callback, or the whole run on a warm hit. Recording is
+// recorder on ctx: the resolve/tiers/run/simulate-stage spans recorded
+// here, and the encode span core records inside "run" when it encodes,
+// ship back to the coordinator inside the completion request and become
+// the worker half of GET /v1/jobs/{id}/trace. The "tiers" span is the
+// store lookup — everything before the first progress callback, or the
+// whole run on a warm hit. Recording is
 // observational-only — it never touches the cache key or the result.
 func execGrant(ctx context.Context, g *dist.Grant, progress func(any)) (payload, profile []byte, err error) {
 	rec := dtrace.RecorderFrom(ctx)
@@ -160,7 +171,7 @@ func execGrant(ctx context.Context, g *dist.Grant, progress func(any)) (payload,
 		opts.Profile = fp
 	}
 	start := time.Now()
-	res, err := core.RunCachedContext(ctx, rv.Workload, opts)
+	_, payload, err = core.RunPayload(ctx, rv.Workload, opts)
 	if rec != nil {
 		end := time.Now()
 		var attrs map[string]string
@@ -185,8 +196,5 @@ func execGrant(ctx context.Context, g *dist.Grant, progress func(any)) (payload,
 			return nil, nil, fmt.Errorf("encode profile: %w", err)
 		}
 	}
-	encStart := time.Now()
-	payload, err = core.EncodeResultPayload(res)
-	rec.Span("worker", "encode", encStart, time.Now(), nil)
-	return payload, profile, err
+	return payload, profile, nil
 }

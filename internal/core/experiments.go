@@ -68,10 +68,10 @@ func cacheKey(wl workload.Workload, opts Options) string {
 }
 
 // RunCached is Run with cross-experiment memoization and optional durable
-// persistence: memory LRU → durable store (when one is attached via
-// SetResultStore) → compute, with the singleflight group spanning all
-// three tiers so at most one lookup-or-simulation per key is ever in
-// flight. Computed results are written through to the store; corrupt or
+// persistence: the memory LRU in front of runStored's store → compute →
+// write chain (the store consulted when one is attached via
+// SetResultStore), with the singleflight group spanning every tier so at
+// most one lookup-or-simulation per key is ever in flight. Corrupt or
 // stale store entries simply miss and are recomputed and rewritten.
 func RunCached(wl workload.Workload, opts Options) (*Result, error) {
 	return RunCachedContext(context.Background(), wl, opts)
@@ -98,23 +98,11 @@ func RunCachedContext(ctx context.Context, wl workload.Workload, opts Options) (
 				runCacheOutcome("memory")
 				return r, nil
 			}
-			st := ResultStore()
-			if st != nil {
-				if r, ok := loadStoredResult(st, key); ok {
-					runCache.Add(key, r)
-					runCacheOutcome("disk")
-					return r, nil
-				}
-			}
-			r, err := RunContext(ctx, wl, opts)
+			r, _, err := runStored(ctx, wl, opts, key)
 			if err != nil {
 				return nil, err
 			}
-			runCacheOutcome("compute")
 			runCache.Add(key, r)
-			if st != nil {
-				saveStoredResult(st, key, r)
-			}
 			return r, nil
 		})
 		if err != nil && shared && ctx.Err() == nil &&

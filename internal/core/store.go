@@ -1,10 +1,13 @@
 package core
 
-// Durable result-store wiring: a process-wide *store.Store acts as the
-// second cache tier behind the in-memory run cache (memory → disk →
-// compute, with RunCached's singleflight spanning all three), and
-// StoreTier adapts the same store into farm.Tier so cmd/pimfarm serves
-// completed jobs from disk across restarts. The payload codec serializes a
+// Durable result-store wiring: a process-wide *store.Store is the disk
+// tier, and runStored is the one chain that touches it — a decode-verified
+// store lookup, and on a miss a simulation whose result is encoded once
+// and written. RunCachedContext puts the memory LRU and its singleflight
+// in front of that chain for sweeps; RunPayload runs it bare for the
+// serving path's workers, which ship the bytes it read or wrote. StoreTier
+// is the read-only view of the same store that cmd/pimfarm's farm serves
+// completed jobs from across restarts. The payload codec serializes a
 // Result — frame measurements, energy breakdown, rendered image and the
 // pim-render/metrics/v1 snapshot — as gzipped JSON; a restored Result
 // reproduces every aggregate the experiments read (cycles, traffic,
@@ -14,15 +17,17 @@ package core
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/energy"
-	"repro/internal/farm"
 	"repro/internal/gpu"
 	"repro/internal/obs"
+	"repro/internal/obs/dtrace"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -46,8 +51,7 @@ var (
 )
 
 // SetResultStore attaches (or with nil detaches) the durable result store
-// consulted by RunCached after a memory-cache miss and written through
-// after every computed cell.
+// runStored reads before simulating and writes after.
 func SetResultStore(st *store.Store) {
 	resultStoreMu.Lock()
 	defer resultStoreMu.Unlock()
@@ -61,35 +65,83 @@ func ResultStore() *store.Store {
 	return resultStoreVar
 }
 
-// StoreTier adapts st into the farm's second cache tier, decoding stored
-// payloads back into *Result values. A nil store yields a nil Tier.
-func StoreTier(st *store.Store) farm.Tier {
+// RunPayload runs the store → compute → write chain for one cell and
+// returns the result with its pim-render/result/v1 payload: the exact
+// bytes read from or written to the attached store (encoded once, without
+// a write, when none is attached). It keeps no in-memory copy — on the
+// serving path the farm's LRU is the memory tier — so a worker ships a
+// disk hit without re-encoding it and a computed result after one encode.
+func RunPayload(ctx context.Context, wl workload.Workload, opts Options) (*Result, []byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	r, payload, err := runStored(ctx, wl, opts, cacheKey(wl, opts))
+	if err == nil && payload == nil {
+		// No store attached, or the encode for it failed: encode for the wire.
+		_, payload, err = encodeStoredResult(ctx, r)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return r, payload, nil
+}
+
+// runStored is the one path from the durable store to a simulation and
+// back. A decode-verified entry for key is served with its payload; any
+// miss — absent, corrupt, stale or undecodable — simulates, and with a
+// store attached encodes the result once and writes it. Persistence is
+// best-effort: a failed put leaves the run standing (store counters
+// record put errors), and so does a failed encode, which returns no
+// payload.
+func runStored(ctx context.Context, wl workload.Workload, opts Options, key string) (*Result, []byte, error) {
+	st := ResultStore()
+	if st != nil {
+		if r, payload, ok := loadStoredResult(st, key); ok {
+			runCacheOutcome("disk")
+			return r, payload, nil
+		}
+	}
+	r, err := RunContext(ctx, wl, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	runCacheOutcome("compute")
+	if st == nil {
+		return r, nil, nil
+	}
+	man, payload, err := encodeStoredResult(ctx, r)
+	if err != nil {
+		return r, nil, nil
+	}
+	_ = st.Put(key, man, payload)
+	return r, payload, nil
+}
+
+// StoreTier is the farm's read-only second cache tier over st: it serves
+// decode-verified entries as *Result values and never writes (runStored
+// owns writes). It satisfies the farm's Tier interface structurally, so
+// this package needs no import of the serving layer. A nil store yields a
+// nil tier, which misses every key.
+func StoreTier(st *store.Store) *ResultTier {
 	if st == nil {
 		return nil
 	}
-	return storeTier{st}
+	return &ResultTier{st}
 }
 
-type storeTier struct{ st *store.Store }
+// ResultTier is the read-only store view StoreTier returns.
+type ResultTier struct{ st *store.Store }
 
-func (t storeTier) Get(key string) (any, bool) {
-	r, ok := loadStoredResult(t.st, key)
+// Get returns the stored result for key, if a decode-verified entry exists.
+func (t *ResultTier) Get(key string) (any, bool) {
+	if t == nil {
+		return nil, false
+	}
+	r, _, ok := loadStoredResult(t.st, key)
 	if !ok {
 		return nil, false
 	}
 	return r, true
-}
-
-// Put writes v through unless this simulator version already stored the
-// key — under -dist, a worker sharing the store wrote it before completing
-// the lease — so each computed result is encoded and written once.
-func (t storeTier) Put(key string, v any) {
-	if man, ok := t.st.Manifest(key); ok && man.SimVersion == SimVersion && man.PayloadSchema == StoredResultSchema {
-		return
-	}
-	if r, ok := v.(*Result); ok {
-		saveStoredResult(t.st, key, r)
-	}
 }
 
 // storedResult is the store payload: everything needed to rebuild a Result
@@ -111,8 +163,11 @@ type storedResult struct {
 }
 
 // encodeStoredResult serializes r into a store manifest and gzipped JSON
-// payload.
-func encodeStoredResult(r *Result) (store.Manifest, []byte, error) {
+// payload, recorded as the "encode" span of ctx's trace recorder — on the
+// serving path the worker's, inside its "run" span.
+func encodeStoredResult(ctx context.Context, r *Result) (store.Manifest, []byte, error) {
+	start := time.Now()
+	defer func() { dtrace.RecorderFrom(ctx).Span("worker", "encode", start, time.Now(), nil) }()
 	opts := r.Options
 	opts.Trace = nil    // runtime-only; not part of the cell's identity
 	opts.Progress = nil // likewise (and func values cannot be serialized)
@@ -134,10 +189,10 @@ func encodeStoredResult(r *Result) (store.Manifest, []byte, error) {
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
 	if err := json.NewEncoder(zw).Encode(&sr); err != nil {
-		return store.Manifest{}, nil, err
+		return store.Manifest{}, nil, fmt.Errorf("core: encode result: %w", err)
 	}
 	if err := zw.Close(); err != nil {
-		return store.Manifest{}, nil, err
+		return store.Manifest{}, nil, fmt.Errorf("core: encode result: %w", err)
 	}
 	man := store.Manifest{
 		Workload:      r.Workload.Name(),
@@ -195,39 +250,20 @@ func decodeStoredResult(key string, payload []byte) (*Result, error) {
 	}, nil
 }
 
-// loadStoredResult fetches and decodes key from st; any defect (store-level
-// corruption, schema or sim-version mismatch, undecodable payload) is a
-// miss — the caller recomputes and the rewrite replaces the entry.
-func loadStoredResult(st *store.Store, key string) (*Result, bool) {
+// loadStoredResult fetches and decodes key from st, returning the result
+// with the payload bytes it decoded; any defect (store-level corruption,
+// schema or sim-version mismatch, undecodable payload) is a miss — the
+// caller recomputes and the rewrite replaces the entry.
+func loadStoredResult(st *store.Store, key string) (*Result, []byte, bool) {
 	payload, _, ok := st.Get(key)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	r, err := decodeStoredResult(key, payload)
 	if err != nil {
-		return nil, false
+		return nil, nil, false
 	}
-	return r, true
-}
-
-// saveStoredResult writes r through to the durable store; persistence is
-// best-effort and never fails the run (store counters record put errors).
-func saveStoredResult(st *store.Store, key string, r *Result) {
-	man, payload, err := encodeStoredResult(r)
-	if err != nil {
-		return
-	}
-	_ = st.Put(key, man, payload)
-}
-
-// EncodeResultPayload serializes r as a self-contained
-// pim-render/result/v1 document — the same encoding store entries carry —
-// for transport between farm nodes. Distributed workers return their
-// results this way, so a coordinator decoding the payload reproduces
-// every aggregate bit-for-bit, exactly as a warm store hit would.
-func EncodeResultPayload(r *Result) ([]byte, error) {
-	_, payload, err := encodeStoredResult(r)
-	return payload, err
+	return r, payload, true
 }
 
 // DecodeResultPayload rebuilds a Result from a pim-render/result/v1

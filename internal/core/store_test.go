@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
@@ -38,7 +40,7 @@ func TestStoredResultRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := cacheKey(wl, opts)
-	man, payload, err := encodeStoredResult(r)
+	man, payload, err := encodeStoredResult(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,9 @@ func TestRunCachedUsesStore(t *testing.T) {
 	}
 }
 
-// TestStoreTierAdapts exercises the farm-facing adapter directly.
+// TestStoreTierAdapts exercises the farm-facing read-only adapter
+// directly: it misses an empty store, serves what the store chain wrote,
+// and a nil store yields a tier that misses every key.
 func TestStoreTierAdapts(t *testing.T) {
 	st := withStore(t)
 	tier := StoreTier(st)
@@ -161,7 +165,7 @@ func TestStoreTierAdapts(t *testing.T) {
 		t.Fatal("nil tier for a live store")
 	}
 	if StoreTier(nil) != nil {
-		t.Fatal("nil store should yield a nil Tier")
+		t.Fatal("nil store should yield a nil tier")
 	}
 
 	wl := workload.MustGet("doom3", 320, 240)
@@ -170,21 +174,80 @@ func TestStoreTierAdapts(t *testing.T) {
 	if _, ok := tier.Get(key); ok {
 		t.Fatal("hit on empty store")
 	}
-	r, err := Run(wl, opts)
+	if _, ok := StoreTier(nil).Get(key); ok {
+		t.Fatal("nil tier hit")
+	}
+	r, err := RunCached(wl, opts) // the chain writes the entry
 	if err != nil {
 		t.Fatal(err)
 	}
-	tier.Put(key, r)
-	tier.Put("other-key", "not a result") // silently ignored, wrong type
 	v, ok := tier.Get(key)
 	if !ok {
-		t.Fatal("miss after Put")
+		t.Fatal("miss after the chain wrote the entry")
 	}
 	back, ok := v.(*Result)
 	if !ok || back.Cycles() != r.Cycles() {
 		t.Fatalf("tier returned %T", v)
 	}
-	if _, ok := tier.Get("other-key"); ok {
-		t.Fatal("non-Result Put produced an entry")
+	if c := st.Counters(); c.Puts != 1 {
+		t.Fatalf("tier reads wrote to the store: %+v", c)
+	}
+}
+
+// TestRunPayloadShipsStoredBytes is the serving chain's contract: a cold
+// cell is simulated, encoded once and written, and the payload returned is
+// the entry's payload byte for byte; a second call is a disk hit that
+// returns the same bytes without writing. Nothing lands in the memory LRU,
+// so a later RunCached is a disk hit too. Without a store the payload is
+// still produced, and decodes to the same cell.
+func TestRunPayloadShipsStoredBytes(t *testing.T) {
+	st := withStore(t)
+	wl := workload.MustGet("wolf", 160, 120)
+	opts := Options{Design: config.STFIM}
+	key := cacheKey(wl, opts)
+	ctx := context.Background()
+
+	r, cold, err := RunPayload(ctx, wl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Restored() {
+		t.Fatal("cold cell was not simulated")
+	}
+	stored, _, ok := st.Get(key)
+	if !ok || !bytes.Equal(stored, cold) {
+		t.Fatalf("shipped payload (%d B) is not the stored entry (%d B, present %v)", len(cold), len(stored), ok)
+	}
+	if c := st.Counters(); c.Puts != 1 {
+		t.Fatalf("cold counters: %+v", c)
+	}
+
+	warm, again, err := RunPayload(ctx, wl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Restored() || !bytes.Equal(again, cold) {
+		t.Fatal("warm call did not ship the stored bytes")
+	}
+	if c := st.Counters(); c.Puts != 1 {
+		t.Fatalf("warm call wrote the store: %+v", c)
+	}
+
+	disk := RunCacheCounters()["disk"]
+	if _, err := RunCached(wl, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := RunCacheCounters()["disk"]; got != disk+1 {
+		t.Fatalf("RunCached disk hits %d -> %d: RunPayload left a memory copy", disk, got)
+	}
+
+	SetResultStore(nil)
+	_, bare, err := RunPayload(ctx, wl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeResultPayload(key, bare)
+	if err != nil || back.Cycles() != r.Cycles() {
+		t.Fatalf("store-less payload: %v", err)
 	}
 }

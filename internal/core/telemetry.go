@@ -89,15 +89,16 @@ var runCacheTiers = []string{"memory", "disk", "compute"}
 
 func runCacheCounter(outcome string) *telem.Counter {
 	return telem.Default().Counter("pim_runcache_requests_total",
-		"core.RunCached lookups by satisfying tier (memory LRU, durable disk store, or fresh compute).",
+		"core.RunCached and RunPayload lookups by satisfying tier (memory LRU, durable disk store, or fresh compute).",
 		telem.Labels{"outcome": outcome})
 }
 
-// runCacheOutcome counts one RunCached lookup by where it was satisfied:
-// "memory" (in-process LRU), "disk" (durable store), or "compute".
+// runCacheOutcome counts one lookup by where it was satisfied: "memory"
+// (RunCached's in-process LRU), "disk" (durable store), or "compute". The
+// last two come from runStored, so RunPayload's lookups count too.
 func runCacheOutcome(outcome string) { runCacheCounter(outcome).Inc() }
 
-// RunCacheCounters snapshots the RunCached tier counters (memory / disk /
+// RunCacheCounters snapshots the lookup tier counters (memory / disk /
 // compute lookups so far in this process), for cmd/pimfarm's /varz.
 func RunCacheCounters() map[string]uint64 {
 	out := make(map[string]uint64, len(runCacheTiers))

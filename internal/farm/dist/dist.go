@@ -14,11 +14,12 @@
 // documents) without
 // an import cycle. The coordinator plugs in as the body of a farm Task's
 // Run closure: the farm keeps job lifecycle, SSE event streams,
-// singleflight dedup, and the memory/store cache tiers; dist owns
-// dispatch — where jobs wait, how workers wait for them, and the lease
-// requeue that is the only way a job runs again. Because workers execute
-// through core.RunCachedContext against a shared store directory, a
-// result computed on any node is a warm hit everywhere.
+// singleflight dedup, the memory cache and reads of the store tier; dist
+// owns dispatch — where jobs wait, how workers wait for them, and the
+// lease requeue that is the only way a job runs again. Because workers
+// execute through core.RunPayload against a shared store directory, which
+// they alone write, a result computed on any node is a warm hit
+// everywhere.
 package dist
 
 import (

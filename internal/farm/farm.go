@@ -1,6 +1,6 @@
 // Package farm is the render-farm job layer: singleflight deduplication
 // of identical in-flight work, an LRU-bounded result cache with an
-// optional durable tier, SSE lifecycle streams, cancellation, and
+// optional read-only durable tier, SSE lifecycle streams, cancellation, and
 // graceful drain on shutdown. The farm runs each task once; re-execution
 // belongs to whatever sits inside the Run closure (the lease coordinator
 // requeues a job whose worker died).
@@ -50,16 +50,15 @@ var (
 	ErrShutdown = errors.New("farm: shut down before job ran")
 )
 
-// Tier is a secondary result cache consulted after the in-memory LRU
-// misses — typically a durable on-disk store (internal/store via
-// core.StoreTier), so completed jobs survive restarts. Implementations
-// must be safe for concurrent use; Put is best-effort (a tier that drops
-// writes only costs recomputation).
+// Tier is a read-only secondary result cache consulted after the
+// in-memory LRU misses — typically a durable on-disk store (internal/store
+// via core.StoreTier), so completed jobs survive restarts. The farm never
+// writes it: whatever computes a result (in cmd/pimfarm, the worker that
+// simulated it) owns persistence. Implementations must be safe for
+// concurrent use.
 type Tier interface {
 	// Get returns the cached value for key, if present and valid.
 	Get(key string) (any, bool)
-	// Put stores a computed value for key.
-	Put(key string, v any)
 }
 
 // Task is one unit of work.
@@ -101,9 +100,6 @@ type Task struct {
 
 // Config configures a Farm.
 type Config struct {
-	// CacheCap bounds the result cache; < 0 disables caching, 0 selects
-	// DefaultCacheCap.
-	CacheCap int
 	// RetainDone bounds how many finished jobs stay listable; <= 0 selects
 	// DefaultRetainDone.
 	RetainDone int
@@ -116,9 +112,8 @@ type Config struct {
 	// Tier, when non-nil, is the second cache tier behind the in-memory
 	// LRU (memory → tier → compute). It is consulted by the job's own
 	// goroutine just before the task would run — never on the Submit
-	// path — and computed results are written through. Singleflight spans
-	// tiers: followers of an in-flight key ride the leader whether its
-	// result came from the tier or was computed.
+	// path. Singleflight spans tiers: followers of an in-flight key ride
+	// the leader whether its result came from the tier or was computed.
 	Tier Tier
 	// Tracer, when non-nil, receives job lifecycle spans (wall-clock
 	// microseconds since the farm started).
@@ -133,11 +128,11 @@ type Config struct {
 // for /varz; these exist so /metrics exposes the same activity in
 // Prometheus form without a registry scrape touching farm internals.
 type farmMetrics struct {
-	submitted                              *telem.Counter
-	done, failed, canceled                 *telem.Counter
-	deduped, cacheHits, tierHits, tierPuts *telem.Counter
-	running                                *telem.Gauge
-	runDur                                 *telem.Histogram
+	submitted                    *telem.Counter
+	done, failed, canceled       *telem.Counter
+	deduped, cacheHits, tierHits *telem.Counter
+	running                      *telem.Gauge
+	runDur                       *telem.Histogram
 }
 
 func newFarmMetrics(r *telem.Registry) farmMetrics {
@@ -157,8 +152,6 @@ func newFarmMetrics(r *telem.Registry) farmMetrics {
 			"Submissions served from the in-memory result cache.", nil),
 		tierHits: r.Counter("pimfarm_tier_hits_total",
 			"Jobs served from the durable store tier.", nil),
-		tierPuts: r.Counter("pimfarm_tier_puts_total",
-			"Computed results written through to the durable store tier.", nil),
 		running: r.Gauge("pimfarm_jobs_running",
 			"Jobs currently executing.", nil),
 		runDur: r.Histogram("pimfarm_job_run_seconds",
@@ -177,7 +170,6 @@ type Counters struct {
 	CacheHits     uint64  `json:"cache_hits"`
 	CacheSize     int     `json:"cache_size"`
 	TierHits      uint64  `json:"tier_hits"`
-	TierPuts      uint64  `json:"tier_puts"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
@@ -209,7 +201,6 @@ type Farm struct {
 	deduped   atomic.Uint64
 	cacheHits atomic.Uint64
 	tierHits  atomic.Uint64
-	tierPuts  atomic.Uint64
 }
 
 // leader tracks one in-flight execution and the duplicate submissions
@@ -221,12 +212,6 @@ type leader struct {
 
 // New builds a farm.
 func New(cfg Config) *Farm {
-	switch {
-	case cfg.CacheCap == 0:
-		cfg.CacheCap = DefaultCacheCap
-	case cfg.CacheCap < 0:
-		cfg.CacheCap = 0 // lru.New returns a nil (inert) cache
-	}
 	if cfg.RetainDone <= 0 {
 		cfg.RetainDone = DefaultRetainDone
 	}
@@ -241,7 +226,7 @@ func New(cfg Config) *Farm {
 		t0:       time.Now(),
 		root:     root,
 		cancel:   cancel,
-		cache:    lru.New[any](cfg.CacheCap),
+		cache:    lru.New[any](DefaultCacheCap),
 		inflight: make(map[string]*leader),
 		jobs:     make(map[string]*Job),
 	}
@@ -432,7 +417,6 @@ func (f *Farm) Counters() Counters {
 		CacheHits:     f.cacheHits.Load(),
 		CacheSize:     f.cache.Len(),
 		TierHits:      f.tierHits.Load(),
-		TierPuts:      f.tierPuts.Load(),
 		UptimeSeconds: time.Since(f.t0).Seconds(),
 	}
 }
@@ -546,11 +530,6 @@ func (f *Farm) execute(j *Job) {
 	}
 	if j.key != "" {
 		f.cache.Add(j.key, v)
-		if f.cfg.Tier != nil {
-			f.cfg.Tier.Put(j.key, v)
-			f.tierPuts.Add(1)
-			f.met.tierPuts.Inc()
-		}
 	}
 	f.finish(j, Done, v, nil)
 }

@@ -343,7 +343,6 @@ type mapTier struct {
 	mu   sync.Mutex
 	m    map[string]any
 	gets int
-	puts int
 }
 
 func newMapTier() *mapTier { return &mapTier{m: map[string]any{}} }
@@ -356,18 +355,17 @@ func (t *mapTier) Get(key string) (any, bool) {
 	return v, ok
 }
 
-func (t *mapTier) Put(key string, v any) {
+func (t *mapTier) getCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.puts++
-	t.m[key] = v
+	return t.gets
 }
 
-// TestTierServesAndWritesThrough pins the tier contract: a keyed job's
-// result is written through after compute, a later farm (fresh memory
-// cache) serves the same key from the tier without running the task, and
-// tier traffic shows up in the counters and the job view.
-func TestTierServesAndWritesThrough(t *testing.T) {
+// TestTierOnlyServes pins the tier contract: the farm never writes the
+// tier (whatever computed a result owns its persistence), a later farm
+// (fresh memory cache) serves a key the tier holds without running the
+// task, and tier hits show up in the counters and the job view.
+func TestTierOnlyServes(t *testing.T) {
 	tier := newMapTier()
 	var runs atomic.Int32
 	task := func(key string) Task {
@@ -389,10 +387,17 @@ func TestTierServesAndWritesThrough(t *testing.T) {
 	if runs.Load() != 1 {
 		t.Fatalf("runs = %d, want 1", runs.Load())
 	}
-	c := f1.Counters()
-	if c.TierPuts != 1 || c.TierHits != 0 {
-		t.Fatalf("f1 counters: tier_puts=%d tier_hits=%d", c.TierPuts, c.TierHits)
+	if c := f1.Counters(); c.TierHits != 0 {
+		t.Fatalf("f1 tier_hits = %d, want 0", c.TierHits)
 	}
+	tier.mu.Lock()
+	if len(tier.m) != 0 {
+		t.Fatalf("farm wrote %d tier entries; the tier is read-only", len(tier.m))
+	}
+	// The task's own side persists the result (in cmd/pimfarm, the
+	// worker's store write).
+	tier.m["k"] = &value{42}
+	tier.mu.Unlock()
 
 	// A second farm with an empty memory cache — the tier (e.g. the durable
 	// store after a restart) answers instead of the task.
@@ -417,7 +422,7 @@ func TestTierServesAndWritesThrough(t *testing.T) {
 
 	// Within one farm the memory LRU answers first: a repeat submission is
 	// a cache hit, not more tier traffic.
-	before := tier.gets
+	before := tier.getCount()
 	j3, err := f2.Submit(task("k"))
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +433,7 @@ func TestTierServesAndWritesThrough(t *testing.T) {
 	if view := j3.View(); !view.CacheHit && !view.Deduped {
 		t.Error("repeat submission was not a memory-cache hit")
 	}
-	if tier.gets != before {
+	if tier.getCount() != before {
 		t.Error("memory-cache hit still consulted the tier")
 	}
 
@@ -442,10 +447,8 @@ func TestTierServesAndWritesThrough(t *testing.T) {
 	if _, err := j4.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	tier.mu.Lock()
-	defer tier.mu.Unlock()
-	if len(tier.m) != 1 {
-		t.Fatalf("tier holds %d entries, want 1 (unkeyed job leaked through)", len(tier.m))
+	if tier.getCount() != before {
+		t.Error("unkeyed job consulted the tier")
 	}
 }
 

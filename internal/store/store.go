@@ -19,7 +19,6 @@
 package store
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -228,26 +227,6 @@ func (s *Store) Get(key string) ([]byte, Manifest, bool) {
 	s.met.hits.Inc()
 	s.trace("hit", int64(len(payload)))
 	return payload, man, true
-}
-
-// Manifest returns the manifest of the entry stored for key, reading only
-// the entry's header: the payload is not verified (Get does that). It
-// reports false when there is no readable entry for key.
-func (s *Store) Manifest(key string) (Manifest, bool) {
-	f, err := os.Open(s.EntryPath(key))
-	if err != nil {
-		return Manifest{}, false
-	}
-	defer f.Close()
-	line, err := bufio.NewReader(f).ReadBytes('\n')
-	if err != nil {
-		return Manifest{}, false
-	}
-	var h header
-	if json.Unmarshal(line, &h) != nil || h.Schema != SchemaVersion || h.Key != key {
-		return Manifest{}, false
-	}
-	return h.Manifest, true
 }
 
 // Put atomically writes an entry for key: temp file in the target

@@ -302,31 +302,6 @@ func TestOpenRequiresDir(t *testing.T) {
 	}
 }
 
-// TestManifestReadsHeader: Manifest reports an entry's manifest from its
-// header alone, and reports nothing for a missing entry or an unreadable
-// header.
-func TestManifestReadsHeader(t *testing.T) {
-	s := openTest(t, Config{})
-	key := "doom3-160x120/0/0.00000/false/false/false/false/0/0/0/0"
-	if _, ok := s.Manifest(key); ok {
-		t.Fatal("manifest of a missing entry")
-	}
-	man := Manifest{Workload: "doom3-160x120", PayloadSchema: "pim-render/result/v1", SimVersion: "2"}
-	if err := s.Put(key, man, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.Manifest(key)
-	if !ok || got.Key != key || got.SimVersion != "2" || got.PayloadSchema != man.PayloadSchema {
-		t.Fatalf("Manifest = %+v, %v", got, ok)
-	}
-	if err := os.WriteFile(s.EntryPath(key), []byte("{not json\npayload"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Manifest(key); ok {
-		t.Fatal("manifest from a corrupt header")
-	}
-}
-
 // TestCountersSeeSharedDirectory: two handles on one directory, as a
 // pimfarm -dist coordinator and its workers hold. Entries the writer adds
 // show up in the other handle's Counters and its entry/byte gauges, not

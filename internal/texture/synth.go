@@ -31,6 +31,9 @@ const (
 	numSynthKinds
 )
 
+// Valid reports whether k names a defined family.
+func (k SynthKind) Valid() bool { return k < numSynthKinds }
+
 // String returns the family name.
 func (k SynthKind) String() string {
 	switch k {

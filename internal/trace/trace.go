@@ -24,6 +24,11 @@ const (
 	version = 2
 )
 
+// maxTexels bounds the base-level texels one trace may ask Read to
+// synthesize: twice the largest Table II scene (hl2, 14 textures of
+// 1024x1024), so a hostile header cannot demand gigabytes of texture.
+const maxTexels = 2 * 14 * 1024 * 1024
+
 // Header describes a trace file.
 type Header struct {
 	// Name is the workload name the trace was captured from.
@@ -175,7 +180,9 @@ func Write(out io.Writer, hdr Header, sc *scene.Scene, specs []texture.SynthSpec
 	return w.w.Flush()
 }
 
-// Read deserializes a trace, re-synthesizing its textures.
+// Read deserializes a trace, re-synthesizing its textures. Every texture
+// record is checked before any is synthesized: an unknown kind, a size
+// that is not a power of two, or more than maxTexels in total is an error.
 func Read(in io.Reader, layout texture.Layout) (Header, *scene.Scene, error) {
 	r := &reader{r: bufio.NewReader(in)}
 	if m := r.u32(); r.err == nil && m != magic {
@@ -195,11 +202,14 @@ func Read(in io.Reader, layout texture.Layout) (Header, *scene.Scene, error) {
 	if r.err == nil && nTex > 4096 {
 		return hdr, nil, fmt.Errorf("trace: texture count %d too large", nTex)
 	}
+	var specs []texture.SynthSpec
+	var texels uint64
 	for i := uint32(0); i < nTex && r.err == nil; i++ {
+		kind, seed, size := r.u32(), r.u64(), r.u32()
 		spec := texture.SynthSpec{
-			Kind: texture.SynthKind(r.u32()),
-			Seed: r.u64(),
-			Size: int(r.u32()),
+			Kind: texture.SynthKind(kind),
+			Seed: seed,
+			Size: int(size),
 			Primary: texture.Color{
 				R: r.f32(), G: r.f32(), B: r.f32(), A: r.f32(),
 			},
@@ -211,7 +221,22 @@ func Read(in io.Reader, layout texture.Layout) (Header, *scene.Scene, error) {
 		if r.err != nil {
 			break
 		}
-		sc.Textures = append(sc.Textures, texture.Synthesize(int(i), spec, layout))
+		switch {
+		case kind > 0xff || !spec.Kind.Valid():
+			return hdr, nil, fmt.Errorf("trace: texture %d has unknown kind %d", i, kind)
+		case size == 0 || size&(size-1) != 0:
+			return hdr, nil, fmt.Errorf("trace: texture %d size %d is not a power of two", i, size)
+		case uint64(size)*uint64(size) > maxTexels-texels:
+			return hdr, nil, fmt.Errorf("trace: textures exceed %d texels at texture %d (size %d)", maxTexels, i, size)
+		}
+		texels += uint64(size) * uint64(size)
+		specs = append(specs, spec)
+	}
+	if r.err != nil {
+		return hdr, nil, fmt.Errorf("trace: %w", r.err)
+	}
+	for i, spec := range specs {
+		sc.Textures = append(sc.Textures, texture.Synthesize(i, spec, layout))
 	}
 
 	nVerts := r.u32()

@@ -106,3 +106,55 @@ func TestCorruptIndicesRejected(t *testing.T) {
 		t.Fatal("out-of-range vertex index accepted")
 	}
 }
+
+// specTrace writes a trace holding only the given texture records (no
+// geometry, no cameras).
+func specTrace(t *testing.T, specs ...texture.SynthSpec) []byte {
+	t.Helper()
+	sc := &scene.Scene{Textures: make([]*texture.Texture, len(specs))}
+	var buf bytes.Buffer
+	if err := Write(&buf, Header{Name: "specs", Width: 16, Height: 12}, sc, specs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHostileTextureRecordsRejected: texture records come from the file,
+// so Read must refuse the ones Synthesize cannot or should not build —
+// with an error, before synthesizing anything, never a panic or a
+// multi-gigabyte allocation.
+func TestHostileTextureRecordsRejected(t *testing.T) {
+	spec := func(kind texture.SynthKind, size int) texture.SynthSpec {
+		return texture.SynthSpec{Kind: kind, Seed: 1, Size: size, Scale: 4}
+	}
+	cases := []struct {
+		name  string
+		specs []texture.SynthSpec
+		want  string
+	}{
+		{"size 3", []texture.SynthSpec{spec(texture.SynthChecker, 3)}, "power of two"},
+		{"size 0", []texture.SynthSpec{spec(texture.SynthChecker, 0)}, "power of two"},
+		{"unknown kind", []texture.SynthSpec{spec(99, 8)}, "unknown kind"},
+		{"size 65536", []texture.SynthSpec{spec(texture.SynthChecker, 65536)}, "texels"},
+		{"two 4096 textures", []texture.SynthSpec{
+			spec(texture.SynthChecker, 4096), spec(texture.SynthChecker, 4096)}, "texels"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, _, err := Read(bytes.NewReader(specTrace(t, c.specs...)), texture.LayoutMorton)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Read = %v, want an error containing %q", err, c.want)
+			}
+		})
+	}
+
+	// The budget admits the largest Table II scene.
+	hl2 := make([]texture.SynthSpec, 14)
+	for i := range hl2 {
+		hl2[i] = spec(texture.SynthChecker, 1024)
+	}
+	_, sc, err := Read(bytes.NewReader(specTrace(t, hl2...)), texture.LayoutMorton)
+	if err != nil || len(sc.Textures) != len(hl2) {
+		t.Fatalf("hl2-sized texture set rejected: %v", err)
+	}
+}

@@ -29,6 +29,9 @@
 #     floor (no-op executor); DistFarmThroughput pushes 8 distinct render
 #     jobs through a coordinator + 2 workers per iteration and also
 #     reports jobs/s.
+#   - BenchmarkWorkerColdJob: one cold doom3@160x120 A-TFIM job on a
+#     worker below the wire — resolve, simulate, store write and the
+#     shipped payload bytes — on a fresh temp store per iteration.
 #
 # BENCHTIME and COUNT override -benchtime and -count for every family.
 #
@@ -62,6 +65,7 @@ bench 'BenchmarkSimulateShards[128]$' 1x .
 bench 'BenchmarkFarmSweep(Serial|Parallel|ColdStore|WarmStore)$' 1x ./internal/farm/
 bench 'BenchmarkLeaseRoundTrip$' 100x ./internal/farm/dist/
 bench 'BenchmarkDistFarmThroughput$' 1x ./cmd/pimfarm/
+bench 'BenchmarkWorkerColdJob$' 20x ./cmd/pimfarm/
 
 awk '
 /^Benchmark/ {
