@@ -7,12 +7,14 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/config"
 	"repro/internal/dram"
 	"repro/internal/energy"
+	"repro/internal/farm/flight"
 	"repro/internal/gpu"
 	"repro/internal/hmc"
 	"repro/internal/mem"
@@ -178,30 +180,76 @@ func newCube(cfg config.Config, cubes int) hmc.Cube {
 	return hmc.New(h)
 }
 
-// sceneCache memoizes generated scenes; generation is deterministic per
-// spec and scenes are immutable once addresses are assigned, so runs of
-// different designs share them.
+// The scene cache memoizes generated scenes; scenes are immutable once
+// addresses are assigned, so runs of different designs share them. The
+// lock guards only the map: each key builds once on sceneFlight, so
+// different scenes build at the same time.
 var (
-	sceneCacheMu sync.Mutex
-	sceneCache   = map[string]*scene.Scene{}
+	sceneMu     sync.Mutex
+	scenes      = map[string]*scene.Scene{}
+	sceneFlight flight.Group[*scene.Scene]
 )
 
-func cachedScene(spec scene.Spec, compressed bool) *scene.Scene {
-	key := fmt.Sprintf("%s/%d/%v/%v", spec.Name, spec.Seed, spec.Layout, compressed)
-	sceneCacheMu.Lock()
-	defer sceneCacheMu.Unlock()
-	if sc, ok := sceneCache[key]; ok {
+// memoScene returns the scene cached under key, calling build once per key
+// among concurrent callers on a miss.
+func memoScene(key string, build func() *scene.Scene) *scene.Scene {
+	load := func() *scene.Scene {
+		sceneMu.Lock()
+		defer sceneMu.Unlock()
+		return scenes[key]
+	}
+	if sc := load(); sc != nil {
 		return sc
 	}
-	sc := scene.Generate(spec)
-	if compressed {
-		for _, tx := range sc.Textures {
-			tx.Compress()
+	sc, _, _ := sceneFlight.Do(key, func() (*scene.Scene, error) {
+		// A build that finished between the miss above and this flight
+		// has already stored the entry.
+		if sc := load(); sc != nil {
+			return sc, nil
 		}
-	}
-	sc.AssignTextureAddresses(mem.RegionTexture)
-	sceneCache[key] = sc
+		sc := build()
+		sceneMu.Lock()
+		scenes[key] = sc
+		sceneMu.Unlock()
+		return sc, nil
+	})
 	return sc
+}
+
+// sharedScene returns the scene built from spec, whose Name is empty: the
+// key is every field Generate reads (%#v, which bypasses String methods
+// that could map two values to one string), so the resolutions of one game
+// share a build. The compressed variant compresses copies of the uncompressed
+// scene's textures; Compress reads only Pix, so the copies share it.
+func sharedScene(spec scene.Spec, compressed bool) *scene.Scene {
+	return memoScene(fmt.Sprintf("%#v/compressed=%v", spec, compressed), func() *scene.Scene {
+		if !compressed {
+			sc := scene.Generate(spec)
+			sc.AssignTextureAddresses(mem.RegionTexture)
+			return sc
+		}
+		base := sharedScene(spec, false)
+		sc := *base
+		sc.Textures = make([]*texture.Texture, len(base.Textures))
+		for i, tx := range base.Textures {
+			c := *tx
+			c.Levels = slices.Clone(tx.Levels)
+			c.Compress()
+			sc.Textures[i] = &c
+		}
+		sc.AssignTextureAddresses(mem.RegionTexture)
+		return &sc
+	})
+}
+
+// cachedScene returns the shared scene for spec in a shallow copy that
+// carries spec.Name; nothing in the simulator reads Scene.Name.
+func cachedScene(spec scene.Spec, compressed bool) *scene.Scene {
+	name := spec.Name
+	spec.Name = ""
+	sc := *sharedScene(spec, compressed)
+	sc.Name = name
+	return &sc
 }
 
 // defaultShards is the Shards value applied when Options.Shards is zero;

@@ -2,6 +2,8 @@ package texture
 
 import (
 	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/xrand"
 )
@@ -69,7 +71,10 @@ type SynthSpec struct {
 	Scale float32
 }
 
-// Synthesize builds the texture (base level plus mipmaps) for spec.
+// Synthesize builds the texture (base level plus mipmaps) for spec. Each
+// texel depends only on its own (u, v), so level 0 is split into row bands
+// synthesized in parallel (see parallelRange); the result is the same at
+// any GOMAXPROCS.
 func Synthesize(id int, spec SynthSpec, layout Layout) *Texture {
 	t := NewTexture(id, spec.Kind.String(), spec.Size, spec.Size, layout, WrapRepeat)
 	n := spec.Size
@@ -77,19 +82,81 @@ func Synthesize(id int, spec SynthSpec, layout Layout) *Texture {
 	if scale <= 0 {
 		scale = 8
 	}
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			u := float32(x) / float32(n)
-			v := float32(y) / float32(n)
-			c := synthTexel(spec, u, v, scale)
-			t.SetTexel(0, x, y, c)
-		}
+	// texelIndex(x, y) = texelIndex(x, 0) + texelIndex(0, y) in both
+	// layouts, so a row's indices are its base plus a shared column table.
+	pix := t.Levels[0].Pix
+	col := make([]int, n)
+	for x := range col {
+		col[x] = texelIndex(layout, n, n, x, 0)
 	}
+	parallelRange(n, n*n, func(y0, y1 int) {
+		s := newSynthesizer(spec, scale)
+		for y := y0; y < y1; y++ {
+			row := texelIndex(layout, n, n, 0, y)
+			for x := 0; x < n; x++ {
+				u := float32(x) / float32(n)
+				v := float32(y) / float32(n)
+				pix[row+col[x]] = Pack(s.texel(u, v))
+			}
+		}
+	})
 	t.BuildMipmaps()
 	return t
 }
 
-func synthTexel(spec SynthSpec, u, v, scale float32) Color {
+// parallelTexels is the level size below which parallelRange stays on the
+// caller's goroutine: a 64x64 level costs less to build than to fan out.
+const parallelTexels = 64 * 64
+
+// parallelRange calls fn on contiguous sub-ranges [lo, hi) covering
+// [0, n), one per GOMAXPROCS goroutine, and returns when all are done.
+// work is the number of texels the whole range writes; below
+// parallelTexels fn runs once, serially, over [0, n).
+func parallelRange(n, work int, fn func(lo, hi int)) {
+	parts := min(runtime.GOMAXPROCS(0), n)
+	if work < parallelTexels || parts <= 1 {
+		fn(0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < parts; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(n*p/parts, n*(p+1)/parts)
+		}()
+	}
+	wg.Wait()
+}
+
+// fbmOctaves is the fBm octave count of each noise-based family (0 for
+// the others).
+func fbmOctaves(k SynthKind) int {
+	switch k {
+	case SynthNoise, SynthMarble:
+		return 5
+	case SynthMetal, SynthWood:
+		return 3
+	}
+	return 0
+}
+
+// synthesizer evaluates one spec's texels. Its fBm remembers the last
+// lattice cell of each octave, so texels walked along a row share hashes;
+// each goroutine needs its own.
+type synthesizer struct {
+	spec  SynthSpec
+	scale float32
+	fbm   *xrand.FBM
+}
+
+func newSynthesizer(spec SynthSpec, scale float32) *synthesizer {
+	return &synthesizer{spec: spec, scale: scale, fbm: xrand.NewFBM(spec.Seed, fbmOctaves(spec.Kind))}
+}
+
+// texel returns the color at (u, v).
+func (s *synthesizer) texel(u, v float32) Color {
+	spec, scale := s.spec, s.scale
 	switch spec.Kind {
 	case SynthChecker:
 		iu := int(u * scale)
@@ -118,17 +185,17 @@ func synthTexel(spec SynthSpec, u, v, scale float32) Color {
 		return spec.Primary.Scale(shade)
 
 	case SynthNoise:
-		n := xrand.FBM2D(spec.Seed, u*scale, v*scale, 5)
+		n := s.fbm.At(u*scale, v*scale)
 		return LerpColor(spec.Secondary, spec.Primary, n)
 
 	case SynthMarble:
-		n := xrand.FBM2D(spec.Seed, u*scale, v*scale, 5)
+		n := s.fbm.At(u*scale, v*scale)
 		vein := float32(0.5 + 0.5*math.Sin(float64(u*scale*2+n*6)))
 		vein = vein * vein
 		return LerpColor(spec.Primary, spec.Secondary, vein)
 
 	case SynthMetal:
-		band := xrand.FBM2D(spec.Seed, u*scale*6, v*2, 3)
+		band := s.fbm.At(u*scale*6, v*2)
 		speck := xrand.Hash2D(spec.Seed^0xbeef, int32(u*1024), int32(v*1024))
 		base := LerpColor(spec.Primary, spec.Secondary, band*0.6)
 		if speck > 0.985 {
@@ -140,7 +207,7 @@ func synthTexel(spec SynthSpec, u, v, scale float32) Color {
 		cx := u - 0.5
 		cy := v - 0.5
 		r := float32(math.Sqrt(float64(cx*cx+cy*cy))) * scale
-		n := xrand.FBM2D(spec.Seed, u*scale, v*scale, 3)
+		n := s.fbm.At(u*scale, v*scale)
 		ring := float32(0.5 + 0.5*math.Sin(float64(r*6+n*3)))
 		return LerpColor(spec.Primary, spec.Secondary, ring)
 

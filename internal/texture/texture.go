@@ -221,23 +221,39 @@ func (t *Texture) ClampLevel(lv int) int {
 
 // BuildMipmaps regenerates levels 1..n from level 0 with a 2x2 box filter
 // (the standard mipmap construction the paper's footnote 1 describes).
+// Each level is split into bands built in parallel (see parallelRange).
 func (t *Texture) BuildMipmaps() {
 	for lv := 1; lv < len(t.Levels); lv++ {
 		src := &t.Levels[lv-1]
 		dst := &t.Levels[lv]
-		for y := 0; y < dst.H; y++ {
-			for x := 0; x < dst.W; x++ {
-				x0, y0 := x*2, y*2
-				x1 := min(x0+1, src.W-1)
-				y1 := min(y0+1, src.H-1)
-				c := t.levelTexel(src, x0, y0).
-					Add(t.levelTexel(src, x1, y0)).
-					Add(t.levelTexel(src, x0, y1)).
-					Add(t.levelTexel(src, x1, y1)).
-					Scale(0.25)
-				dst.Pix[texelIndex(t.Layout, dst.W, dst.H, x, y)] = Pack(c)
-			}
+		if t.Layout == LayoutMorton && src.W == src.H {
+			// In a square Morton level the 2x2 children of destination
+			// texel i are source texels 4i..4i+3, in the order (x0,y0),
+			// (x1,y0), (x0,y1), (x1,y1), so the build is a linear pass.
+			parallelRange(len(dst.Pix), len(dst.Pix), func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					q := src.Pix[4*i : 4*i+4]
+					c := Unpack(q[0]).Add(Unpack(q[1])).Add(Unpack(q[2])).Add(Unpack(q[3])).Scale(0.25)
+					dst.Pix[i] = Pack(c)
+				}
+			})
+			continue
 		}
+		parallelRange(dst.H, len(dst.Pix), func(lo, hi int) {
+			for y := lo; y < hi; y++ {
+				for x := 0; x < dst.W; x++ {
+					x0, y0 := x*2, y*2
+					x1 := min(x0+1, src.W-1)
+					y1 := min(y0+1, src.H-1)
+					c := t.levelTexel(src, x0, y0).
+						Add(t.levelTexel(src, x1, y0)).
+						Add(t.levelTexel(src, x0, y1)).
+						Add(t.levelTexel(src, x1, y1)).
+						Scale(0.25)
+					dst.Pix[texelIndex(t.Layout, dst.W, dst.H, x, y)] = Pack(c)
+				}
+			}
+		})
 	}
 }
 

@@ -89,32 +89,67 @@ func Hash2D(seed uint64, x, y int32) float32 {
 	return float32(h>>40) / float32(1<<24)
 }
 
-// ValueNoise2D returns smooth value noise in [0,1) at (x, y): bilinear
-// interpolation of lattice hashes with a smoothstep fade.
-func ValueNoise2D(seed uint64, x, y float32) float32 {
+// lattice evaluates value noise: bilinear interpolation of lattice hashes
+// with a smoothstep fade, in [0,1). It remembers the four corner hashes of
+// the last cell it evaluated, so consecutive points inside one cell hash
+// nothing and a step into the next cell along x hashes only the two new
+// corners.
+type lattice struct {
+	x0, y0             int32
+	filled             bool
+	v00, v10, v01, v11 float32
+}
+
+// noise returns the value noise at (x, y). The hash values are the ones a
+// fresh evaluation would compute and the float operations run in one
+// fixed order, so the result does not depend on the remembered cell.
+func (c *lattice) noise(seed uint64, x, y float32) float32 {
 	x0 := int32(math.Floor(float64(x)))
 	y0 := int32(math.Floor(float64(y)))
+	if !c.filled || x0 != c.x0 || y0 != c.y0 {
+		if c.filled && y0 == c.y0 && x0 == c.x0+1 {
+			c.v00, c.v01 = c.v10, c.v11
+		} else {
+			c.v00 = Hash2D(seed, x0, y0)
+			c.v01 = Hash2D(seed, x0, y0+1)
+		}
+		c.v10 = Hash2D(seed, x0+1, y0)
+		c.v11 = Hash2D(seed, x0+1, y0+1)
+		c.x0, c.y0, c.filled = x0, y0, true
+	}
 	fx := x - float32(x0)
 	fy := y - float32(y0)
 	fx = fx * fx * (3 - 2*fx)
 	fy = fy * fy * (3 - 2*fy)
-	v00 := Hash2D(seed, x0, y0)
-	v10 := Hash2D(seed, x0+1, y0)
-	v01 := Hash2D(seed, x0, y0+1)
-	v11 := Hash2D(seed, x0+1, y0+1)
-	a := v00 + (v10-v00)*fx
-	b := v01 + (v11-v01)*fx
+	a := c.v00 + (c.v10-c.v00)*fx
+	b := c.v01 + (c.v11-c.v01)*fx
 	return a + (b-a)*fy
 }
 
-// FBM2D returns fractal Brownian motion noise: octaves of ValueNoise2D with
-// halving amplitude and doubling frequency, normalized to [0,1).
-func FBM2D(seed uint64, x, y float32, octaves int) float32 {
+// FBM evaluates fractal Brownian motion noise for one seed and octave
+// count: octaves of value noise with halving amplitude and doubling
+// frequency, normalized to [0,1). It remembers each octave's last lattice
+// cell, so a caller that walks nearby points in order (a texture row)
+// re-hashes only when a point crosses into a new cell. Results do not
+// depend on the order of calls. An FBM is not safe for concurrent use;
+// give each goroutine its own.
+type FBM struct {
+	seed  uint64
+	cells []lattice
+}
+
+// NewFBM returns an FBM evaluator with the given seed and octave count.
+func NewFBM(seed uint64, octaves int) *FBM {
+	return &FBM{seed: seed, cells: make([]lattice, max(octaves, 0))}
+}
+
+// At returns the noise at (x, y).
+func (f *FBM) At(x, y float32) float32 {
 	var sum, norm, amp float32
 	amp = 1
 	freq := float32(1)
-	for o := 0; o < octaves; o++ {
-		sum += amp * ValueNoise2D(seed+uint64(o)*0x9e37, x*freq, y*freq)
+	for o := range f.cells {
+		sum += amp * f.cells[o].noise(f.seed+uint64(o)*0x9e37, x*freq, y*freq)
 		norm += amp
 		amp /= 2
 		freq *= 2

@@ -14,6 +14,9 @@
 #     BenchmarkAverageChildren (one Combination Unit parent texel) and
 #     BenchmarkLineTexels (the 16 texels of one memory line) in
 #     internal/texture.
+#   - BenchmarkSynthesize: hl2's fourteen 1024x1024 procedural textures
+#     with their mip chains (internal/texture), the cost of a cold scene
+#     build. Synthesis splits each level across GOMAXPROCS goroutines.
 #   - BenchmarkRenderFrame{Baseline,ATFIM}: one uncached wolf@320x240
 #     frame per iteration, the simulator's own throughput per design.
 #   - BenchmarkSimulateShards{1,2,8}: one uncached single-frame simulation
@@ -60,6 +63,7 @@ bench() { # bench PATTERN DEFAULT_BENCHTIME PACKAGE
 bench 'Benchmark(ATFIM|Baseline|STFIM)Sample$' 1s ./internal/tfim/
 bench 'BenchmarkCacheAccess$' 1s ./internal/cache/
 bench 'Benchmark(AverageChildren|LineTexels)$' 1s ./internal/texture/
+bench 'BenchmarkSynthesize$' 3x ./internal/texture/
 bench 'BenchmarkRenderFrame(Baseline|ATFIM)$' 3x .
 bench 'BenchmarkSimulateShards[128]$' 1x .
 bench 'BenchmarkFarmSweep(Serial|Parallel|ColdStore|WarmStore)$' 1x ./internal/farm/
