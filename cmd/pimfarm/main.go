@@ -65,7 +65,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "in-process worker slots, and the -admit-slots default (0 = GOMAXPROCS, or 64 under -dist)")
 		queue     = flag.Int("queue", admit.DefaultQueueDepth, "per-class admission queue depth")
 		drainSecs = flag.Int("drain", 60, "max seconds to drain on shutdown before forcing")
-		tracefile = flag.String("tracefile", "", "write farm job-lifecycle spans as Chrome trace JSON on shutdown")
 		storeDir  = flag.String("store", "", "durable result-store directory; the in-process worker writes each computed result there and completed jobs survive restarts")
 		shards    = flag.Int("shards", 0, "default frame tile-scan shards for jobs that do not set one (0 = GOMAXPROCS, 1 = serial)")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
@@ -78,10 +77,7 @@ func main() {
 		tenants      = flag.String("tenants", "", "tenant config file (pim-render/tenants/v1 JSON: API keys, rate limits, quotas); empty admits any tenant unlimited")
 		admitSlots   = flag.Int("admit-slots", 0, "admission slots: jobs concurrently inside the farm (0 = -workers)")
 		admitTimeout = flag.Duration("admit-timeout", 30*time.Second, "max wait in the admission queue before a submission is shed with 429")
-		profileTTL   = flag.Duration("profile-ttl", 15*time.Minute, "prune finished jobs' frame-anatomy profile artifacts after this age (<= 0 keeps them for the job's lifetime)")
-		eventTTL     = flag.Duration("event-ttl", farm.DefaultEventRetention, "compact finished jobs' SSE replay history after this age (negative disables)")
 		traceSample  = flag.Float64("trace-sample", 1.0, "fraction of jobs given a distributed-trace timeline (GET /v1/jobs/{id}/trace); 0 disables tracing")
-		traceTTL     = flag.Duration("trace-ttl", 15*time.Minute, "prune finished jobs' trace timelines after this age (<= 0 keeps them for the job's lifetime)")
 	)
 	prof := obs.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
@@ -115,13 +111,9 @@ func main() {
 			"revision":   obs.BuildRevision(),
 		}).Set(1)
 
-	var tracer *obs.Tracer
-	if *tracefile != "" {
-		tracer = obs.NewTracer(0)
-	}
 	var st *store.Store
 	if *storeDir != "" {
-		st = openStore(log, store.Config{Dir: *storeDir, Tracer: tracer})
+		st = openStore(log, store.Config{Dir: *storeDir})
 	}
 	slots := *workers
 	if slots <= 0 {
@@ -132,19 +124,13 @@ func main() {
 			slots = 64
 		}
 	}
-	f := farm.New(farm.Config{
-		Tracer:         tracer,
-		Tier:           core.StoreTier(st),
-		EventRetention: *eventTTL,
-	})
+	f := farm.New(farm.Config{Tier: core.StoreTier(st)})
 
 	coord := dist.NewCoordinator(dist.Config{TTL: *leaseTTL})
 	api := newServer(f, st, coord)
 	api.log = log
 	api.pprofOn = *pprofOn
-	api.profiles.ttl = *profileTTL
 	api.traceSample = *traceSample
-	api.traces.ttl = *traceTTL
 
 	// Admission control always fronts submissions; without -tenants it
 	// runs with an open tenant set (any name, no rate or quota limits). An
@@ -211,19 +197,6 @@ func main() {
 		sc := st.Counters()
 		log.Info("store closed", "hits", sc.Hits, "misses", sc.Misses, "corrupt", sc.Corrupt,
 			"puts", sc.Puts, "entries", sc.Entries, "bytes", sc.Bytes)
-	}
-
-	if *tracefile != "" {
-		w, err := os.Create(*tracefile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := tracer.WriteChromeTrace(w); err != nil {
-			fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			fatal(err)
-		}
 	}
 }
 

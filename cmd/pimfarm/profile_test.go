@@ -1,12 +1,16 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/farm"
 	"repro/internal/obs"
 )
 
@@ -124,6 +128,74 @@ func TestJobProfileEndpoint(t *testing.T) {
 		t.Errorf("Allow = %q, want GET", allow)
 	}
 	decodeErrorBody(t, resp)
+}
+
+// TestJobArtifactsLeaveWithJob: a job's profile and trace timeline live on
+// the farm's job, so both endpoints serve while the farm retains the job
+// and answer 404 once a newer job pushes it out of the registry.
+func TestJobArtifactsLeaveWithJob(t *testing.T) {
+	f := farm.New(farm.Config{RetainDone: 1})
+	ts := httptest.NewServer(newLocalServer(t, f, nil, 1))
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := f.Close(ctx); err != nil {
+			t.Error(err)
+		}
+	})
+
+	submit := func(body string) string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs?wait=true", "application/json",
+			strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jr jobResponse
+		err = json.NewDecoder(resp.Body).Decode(&jr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || jr.State != "done" {
+			t.Fatalf("wait=true status = %d state = %q (%s)", resp.StatusCode, jr.State, jr.Error)
+		}
+		return jr.ID
+	}
+	status := func(id, artifact string) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/" + artifact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			decodeErrorBody(t, resp)
+			return resp.StatusCode
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	old := submit(`{"game":"doom3","width":160,"height":120,"design":"bpim","profile":true}`)
+	for _, a := range []string{"profile", "trace"} {
+		if code := status(old, a); code != http.StatusOK {
+			t.Fatalf("retained job %s: GET %s = %d, want 200", old, a, code)
+		}
+	}
+
+	newer := submit(`{"game":"doom3","width":160,"height":120,"design":"baseline"}`)
+	if _, ok := f.Job(old); ok {
+		t.Fatalf("farm still retains %s after %s finished with RetainDone 1", old, newer)
+	}
+	for _, a := range []string{"profile", "trace"} {
+		if code := status(old, a); code != http.StatusNotFound {
+			t.Fatalf("pruned job %s: GET %s = %d, want 404", old, a, code)
+		}
+	}
+	if code := status(newer, "trace"); code != http.StatusOK {
+		t.Fatalf("retained job %s: GET trace = %d, want 200", newer, code)
+	}
 }
 
 // TestMetricsRuntimeGauges: every scrape carries refreshed Go-runtime

@@ -85,78 +85,17 @@ type server struct {
 	admit        *admit.Controller
 	admitTimeout time.Duration
 
-	// profiles holds captured frame-anatomy artifacts (jobs submitted
-	// with "profile": true that really simulated).
-	profiles jobArtifacts[*obs.FrameProfile]
-
 	// Distributed tracing (see trace.go). traceSample is the fraction of
-	// jobs minted a sampled trace context at submission; traces retains
-	// assembled per-job timelines; tsum aggregates stage durations for GET
-	// /v1/traces/summary.
+	// jobs minted a sampled trace context at submission; tsum aggregates
+	// stage durations for GET /v1/traces/summary. Each job's timeline and
+	// frame profile live on its farm.Job.
 	traceSample float64
-	traces      jobArtifacts[*dtrace.Timeline]
 	tsum        *dtrace.Summary
 
 	// suites tracks accepted suite runs (POST /v1/suites): each is a
 	// batch of ordinary farm jobs plus the grouping needed for the
 	// suite-level roll-up views. See suites.go.
 	suites suiteState
-}
-
-// jobArtifacts retains one artifact per job — a frame profile or a trace
-// timeline — with its capture time. An entry is pruned once the farm no
-// longer retains its job, or, when ttl is positive, once its job is
-// terminal and the entry older than ttl, so long-retained finished jobs
-// stop pinning large documents. Pruning runs on every store and load,
-// which bounds the map without a background janitor.
-type jobArtifacts[T any] struct {
-	farm *farm.Farm
-	ttl  time.Duration
-	m    sync.Map // job ID -> artifact[T]
-}
-
-type artifact[T any] struct {
-	v  T
-	at time.Time
-}
-
-func (a *jobArtifacts[T]) store(id string, v T) {
-	a.prune()
-	a.m.Store(id, artifact[T]{v: v, at: time.Now()})
-}
-
-func (a *jobArtifacts[T]) load(id string) (T, bool) {
-	a.prune()
-	e, ok := a.m.Load(id)
-	if !ok {
-		var zero T
-		return zero, false
-	}
-	return e.(artifact[T]).v, true
-}
-
-func (a *jobArtifacts[T]) prune() {
-	live := map[string]bool{}
-	for _, j := range a.farm.Jobs() {
-		live[j.ID()] = true
-	}
-	var cut time.Time
-	if a.ttl > 0 {
-		cut = time.Now().Add(-a.ttl)
-	}
-	a.m.Range(func(k, v any) bool {
-		id := k.(string)
-		if !live[id] {
-			a.m.Delete(k)
-			return true
-		}
-		if e := v.(artifact[T]); !cut.IsZero() && e.at.Before(cut) {
-			if j, ok := a.farm.Job(id); ok && j.State().Terminal() {
-				a.m.Delete(k)
-			}
-		}
-		return true
-	})
 }
 
 // newServer builds the API handler (httptest mounts it directly) over
@@ -176,8 +115,6 @@ func newServer(f *farm.Farm, st *store.Store, coord *dist.Coordinator) *server {
 		traceSample: 1,
 		tsum:        dtrace.NewSummary(0, 0),
 	}
-	s.profiles.farm = f
-	s.traces.farm = f
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
@@ -477,10 +414,10 @@ func (s *server) buildTask(req *suite.Spec, origin string) (farm.Task, error) {
 // dispatch hands the job to a worker through the coordinator and blocks
 // until a worker delivers the outcome. Worker progress documents are
 // republished onto the job's SSE stream (GET /v1/jobs/{id}/events), and a
-// captured frame profile is kept for GET /v1/jobs/{id}/profile. Lease
-// expiries (worker crashed or stalled) requeue inside the coordinator
-// without returning from Run; that requeue is the only way a job runs
-// again. The job's context is canceled by DELETE
+// captured frame profile is set on the job for GET /v1/jobs/{id}/profile.
+// Lease expiries (worker crashed or stalled) requeue inside the
+// coordinator without returning from Run; that requeue is the only way a
+// job runs again. The job's context is canceled by DELETE
 // /v1/jobs/{id}, by a waiting client disconnecting, or on forced
 // shutdown; canceling abandons the dispatch, which invalidates any
 // outstanding lease so the worker stops.
@@ -518,7 +455,7 @@ func (s *server) dispatch(req *suite.Spec, key, label string) func(context.Conte
 				if fp, err := obs.ReadFrameProfile(bytes.NewReader(o.Profile)); err != nil {
 					s.log.Error("worker profile", "job", j.ID(), "worker", o.Worker, "err", err.Error())
 				} else {
-					s.profiles.store(j.ID(), fp)
+					j.SetProfile(fp)
 				}
 			}
 			return res, nil
@@ -686,18 +623,20 @@ func (s *server) writeJob(w http.ResponseWriter, status int, j *farm.Job) {
 
 // handleProfile is GET /v1/jobs/{id}/profile: the job's captured
 // pim-render/frameprofile/v1 artifact. 404 when the job is unknown, was
-// not submitted with "profile": true, is not finished, or was served from
-// a cache tier (profiles exist only for jobs that really simulated).
+// not submitted with "profile": true, is not finished, was served from a
+// cache tier (profiles exist only for jobs that really simulated), or the
+// profile expired with the job's retention.
 func (s *server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.farm.Job(id); !ok {
+	j, ok := s.farm.Job(id)
+	if !ok {
 		httpError(w, r, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
-	fp, ok := s.profiles.load(id)
-	if !ok {
+	fp := j.Profile()
+	if fp == nil {
 		httpError(w, r, http.StatusNotFound, fmt.Errorf(
-			"no profile for job %s (submit with \"profile\": true; profiles are captured only when the job simulates rather than hitting a cache tier, and expire after the server's profile TTL)", id))
+			"no profile for job %s (submit with \"profile\": true; profiles are captured only when the job simulates rather than hitting a cache tier, and are dropped at the farm's retention age, 10 min after the job finishes by default)", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, fp)

@@ -347,8 +347,7 @@ func (s *server) handleSuiteEvents(w http.ResponseWriter, r *http.Request) {
 // pruneSuites drops suite roll-ups whose cases are all terminal and whose
 // jobs the farm no longer retains — the run's information is gone from
 // every other surface at that point. Called on every suite store and
-// list, which bounds the map without a background janitor (mirroring
-// jobArtifacts).
+// list, which bounds the map without a background janitor.
 func (s *server) pruneSuites() {
 	s.suites.runs.Range(func(k, v any) bool {
 		run := v.(*suiteRun)

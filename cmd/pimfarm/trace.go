@@ -20,9 +20,9 @@ import (
 // Tracing is observational-only: the context never enters cache keys and
 // results are byte-identical with sampling on or off.
 
-// recordTrace assembles and retains one execution's timeline — the
-// coordinator-side spans plus the worker's span report from the outcome,
-// skew-corrected by Assemble using the lease grant/completion stamps —
+// recordTrace assembles one execution's timeline — the coordinator-side
+// spans plus the worker's span report from the outcome, skew-corrected by
+// Assemble using the lease grant/completion stamps — sets it on the job,
 // and feeds the per-class/tenant stage aggregates. Failed outcomes are
 // recorded too: a trace of a failed job is exactly when you want the
 // timeline.
@@ -73,7 +73,7 @@ func (s *server) recordTrace(j *farm.Job, tc dtrace.Context, o *dist.Outcome, en
 	}
 	a.Coordinator = spans
 	tl := dtrace.Assemble(a)
-	s.traces.store(a.JobID, tl)
+	j.SetTimeline(tl)
 	s.tsum.Observe(a.Class, a.Tenant, tl.StageDurations())
 }
 
@@ -81,17 +81,18 @@ func (s *server) recordTrace(j *farm.Job, tc dtrace.Context, o *dist.Outcome, en
 // pim-render/trace/v1 timeline (Chrome trace-event JSON; load it in
 // chrome://tracing or Perfetto). 404 when the job is unknown, was not
 // sampled, has not executed (cache hits and dedup followers never run),
-// or the timeline expired.
+// or the timeline expired with the job's retention.
 func (s *server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.farm.Job(id); !ok {
+	j, ok := s.farm.Job(id)
+	if !ok {
 		httpError(w, r, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
-	tl, ok := s.traces.load(id)
-	if !ok {
+	tl := j.Timeline()
+	if tl == nil {
 		httpError(w, r, http.StatusNotFound, fmt.Errorf(
-			"no trace for job %s (traces exist only for sampled jobs that really executed — not cache hits or dedup followers — and expire after the server's trace TTL)", id))
+			"no trace for job %s (traces exist only for sampled jobs that really executed — not cache hits or dedup followers — and are dropped at the farm's retention age, 10 min after the job finishes by default)", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, tl)

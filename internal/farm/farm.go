@@ -11,9 +11,9 @@
 // closure (the lease coordinator's class queues). The farm is
 // deliberately independent of the simulator: a Task carries an opaque Run
 // closure plus a dedup Key, so cmd/pimfarm can serve arbitrary render jobs
-// without an import cycle. Job runs and cache hits are recorded as obs
-// spans when a tracer is attached, so farm behaviour shows up in the same
-// Chrome trace export as the simulator's cycle timeline.
+// without an import cycle. A job also carries what its run produced
+// besides the result — a frame profile and a distributed-trace timeline —
+// which leave memory with the job or at the retention age.
 package farm
 
 import (
@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/farm/lru"
-	"repro/internal/obs"
 	"repro/internal/obs/telem"
 )
 
@@ -36,9 +35,10 @@ const (
 	// DefaultRetainDone bounds how many finished jobs the registry keeps
 	// for listing; the oldest are pruned first.
 	DefaultRetainDone = 1024
-	// DefaultEventRetention is how long finished jobs keep their full SSE
-	// replay rings before the janitor compacts them to the terminal event.
-	DefaultEventRetention = 10 * time.Minute
+	// DefaultRetention is how long finished jobs keep their full SSE
+	// replay rings, frame profiles and trace timelines before the janitor
+	// drops them.
+	DefaultRetention = 10 * time.Minute
 )
 
 // Errors returned by the farm.
@@ -67,14 +67,14 @@ type Task struct {
 	// Key collapse into one execution (singleflight) and completed values
 	// are served from the LRU cache. An empty Key opts out of both.
 	Key string
-	// Label names the task in job listings and trace spans.
+	// Label names the task in job listings and trace timelines.
 	Label string
 	// Origin tags the task with where it came from (e.g. an HTTP request
-	// ID). It is appended to trace span names and surfaced in job views,
-	// tying a span or log line back to the request that caused it.
+	// ID). It is surfaced in job views and trace timelines, tying a span
+	// or log line back to the request that caused it.
 	Origin string
 	// Tenant names who the work was admitted for; it is carried into job
-	// views, SSE "state" events and trace span names. Empty when the
+	// views, SSE "state" events and trace timelines. Empty when the
 	// caller runs without admission control.
 	Tenant string
 	// Class is the admission priority-class label ("interactive",
@@ -103,21 +103,19 @@ type Config struct {
 	// RetainDone bounds how many finished jobs stay listable; <= 0 selects
 	// DefaultRetainDone.
 	RetainDone int
-	// EventRetention is how long a finished job keeps its full SSE replay
-	// ring; once a job has been terminal this long, the ring is compacted
-	// to the terminal "state" event so long-running servers do not hold
-	// every retained job's progress history. 0 selects
-	// DefaultEventRetention; < 0 disables compaction.
-	EventRetention time.Duration
+	// Retention is how long a finished job keeps its full SSE replay ring,
+	// frame profile and trace timeline; once a job has been terminal this
+	// long, the ring is compacted to the terminal "state" event and the
+	// artifacts are dropped, so long-running servers do not hold every
+	// retained job's progress history and documents. <= 0 selects
+	// DefaultRetention.
+	Retention time.Duration
 	// Tier, when non-nil, is the second cache tier behind the in-memory
 	// LRU (memory → tier → compute). It is consulted by the job's own
 	// goroutine just before the task would run — never on the Submit
 	// path. Singleflight spans tiers: followers of an in-flight key ride
 	// the leader whether its result came from the tier or was computed.
 	Tier Tier
-	// Tracer, when non-nil, receives job lifecycle spans (wall-clock
-	// microseconds since the farm started).
-	Tracer *obs.Tracer
 	// Metrics is the live-telemetry registry the farm publishes pimfarm_*
 	// series into; nil selects telem.Default().
 	Metrics *telem.Registry
@@ -215,6 +213,9 @@ func New(cfg Config) *Farm {
 	if cfg.RetainDone <= 0 {
 		cfg.RetainDone = DefaultRetainDone
 	}
+	if cfg.Retention <= 0 {
+		cfg.Retention = DefaultRetention
+	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telem.Default()
@@ -230,20 +231,15 @@ func New(cfg Config) *Farm {
 		inflight: make(map[string]*leader),
 		jobs:     make(map[string]*Job),
 	}
-	if cfg.EventRetention >= 0 {
-		if cfg.EventRetention == 0 {
-			f.cfg.EventRetention = DefaultEventRetention
-		}
-		go f.janitor()
-	}
+	go f.janitor()
 	return f
 }
 
-// janitor periodically compacts the SSE replay rings of jobs that have
-// been terminal longer than EventRetention, bounding what a long-running
-// server retains per finished job. It exits with the root context.
+// janitor periodically expires jobs that have been terminal longer than
+// Retention, bounding what a long-running server retains per finished
+// job. It exits with the root context.
 func (f *Farm) janitor() {
-	every := f.cfg.EventRetention / 4
+	every := f.cfg.Retention / 4
 	if every < time.Second {
 		every = time.Second
 	}
@@ -254,14 +250,9 @@ func (f *Farm) janitor() {
 		case <-f.root.Done():
 			return
 		case now := <-t.C:
-			cut := now.Add(-f.cfg.EventRetention)
+			cut := now.Add(-f.cfg.Retention)
 			for _, j := range f.Jobs() {
-				j.mu.Lock()
-				stale := j.state.Terminal() && !j.finished.IsZero() && j.finished.Before(cut)
-				j.mu.Unlock()
-				if stale {
-					j.compactEvents()
-				}
+				j.expire(cut)
 			}
 		}
 	}
@@ -315,7 +306,6 @@ func (f *Farm) Submit(t Task) (*Job, error) {
 			f.cacheHits.Add(1)
 			f.met.cacheHits.Inc()
 			j.publishState()
-			f.cfg.Tracer.Instant("farm/cache", j.spanName(), f.us(time.Now()))
 			f.finish(j, Done, v, nil)
 			return j, nil
 		}
@@ -499,7 +489,6 @@ func (f *Farm) execute(j *Job) {
 			j.tierHit = true
 			j.mu.Unlock()
 			f.cache.Add(j.key, v)
-			f.cfg.Tracer.Instant("farm/store", j.spanName(), f.us(time.Now()))
 			f.finish(j, Done, v, nil)
 			return
 		}
@@ -511,12 +500,7 @@ func (f *Farm) execute(j *Job) {
 	f.running.Add(-1)
 	f.met.running.Dec()
 
-	end := time.Now()
-	f.met.runDur.Observe(end.Sub(start).Seconds())
-
-	if f.cfg.Tracer.On() {
-		f.cfg.Tracer.Span("farm/run", j.spanName(), f.us(start), f.us(end))
-	}
+	f.met.runDur.Observe(time.Since(start).Seconds())
 
 	if err != nil {
 		// Only an explicit Farm.Cancel makes a run's failure a
@@ -592,7 +576,3 @@ func (f *Farm) completeOne(j *Job, s State, v any, err error, now time.Time) {
 	}
 	f.jobsWG.Done()
 }
-
-// us converts a wall-clock instant to microseconds since farm start (the
-// trace time base; one trace "cycle" = 1 µs of wall clock).
-func (f *Farm) us(t time.Time) int64 { return t.Sub(f.t0).Microseconds() }

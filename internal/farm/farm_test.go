@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/dtrace"
 )
 
 // value wraps an int so results survive the any round-trip distinctly.
@@ -309,35 +310,6 @@ func TestJobsListingAndRetention(t *testing.T) {
 	}
 }
 
-func TestTracerRecordsLifecycleSpans(t *testing.T) {
-	tr := obs.NewTracer(1024)
-	f := New(Config{Tracer: tr})
-	if _, err := f.Do(context.Background(), Task{Key: "k", Label: "traced",
-		Run: func(context.Context) (any, error) { return &value{1}, nil }}); err != nil {
-		t.Fatal(err)
-	}
-	// A second submission of the same key is a cache hit → instant event.
-	if _, err := f.Do(context.Background(), Task{Key: "k", Label: "traced",
-		Run: func(context.Context) (any, error) { return &value{1}, nil }}); err != nil {
-		t.Fatal(err)
-	}
-	mustClose(t, f)
-
-	tracks := map[string]int{}
-	for _, e := range tr.Events() {
-		tracks[e.Track]++
-		if e.End < e.Start {
-			t.Fatalf("span %q on %q ends before it starts", e.Name, e.Track)
-		}
-	}
-	if tracks["farm/run"] == 0 {
-		t.Fatalf("no run span recorded; tracks: %v", tracks)
-	}
-	if tracks["farm/cache"] == 0 {
-		t.Fatalf("no cache-hit instant recorded; tracks: %v", tracks)
-	}
-}
-
 // mapTier is an in-memory Tier for testing the second-cache-tier hookup.
 type mapTier struct {
 	mu   sync.Mutex
@@ -452,12 +424,13 @@ func TestTierOnlyServes(t *testing.T) {
 	}
 }
 
-// TestEventRetentionCompactsTerminalJobs: a finished job's SSE replay
-// ring shrinks to its terminal event once it outlives EventRetention, so
-// retained jobs stop pinning their full progress history. A late
-// subscriber still learns the outcome.
-func TestEventRetentionCompactsTerminalJobs(t *testing.T) {
-	f := New(Config{EventRetention: 50 * time.Millisecond})
+// TestRetentionCompactsTerminalJobs: once a finished job outlives
+// Retention, its SSE replay ring shrinks to its terminal event and its
+// frame profile and trace timeline are dropped in the same janitor pass,
+// so retained jobs stop pinning their full progress history and
+// documents. A late subscriber still learns the outcome.
+func TestRetentionCompactsTerminalJobs(t *testing.T) {
+	f := New(Config{Retention: 50 * time.Millisecond})
 	defer mustClose(t, f)
 	j, err := f.Submit(Task{
 		Label: "chatty",
@@ -466,6 +439,8 @@ func TestEventRetentionCompactsTerminalJobs(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				job.Publish("progress", i)
 			}
+			job.SetProfile(&obs.FrameProfile{Schema: obs.FrameProfileSchema})
+			job.SetTimeline(&dtrace.Timeline{Schema: dtrace.TimelineSchema})
 			return value{1}, nil
 		},
 	})
@@ -476,7 +451,12 @@ func TestEventRetentionCompactsTerminalJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Before compaction the replay holds the progress trail.
+	// Before compaction the job holds its artifacts and the replay its
+	// progress trail.
+	if j.Profile() == nil || j.Timeline() == nil {
+		t.Fatalf("finished job lost its artifacts before the janitor ran: profile=%v timeline=%v",
+			j.Profile(), j.Timeline())
+	}
 	ch, cancel := j.Subscribe()
 	n := 0
 	for range ch {
@@ -502,6 +482,9 @@ func TestEventRetentionCompactsTerminalJobs(t *testing.T) {
 			if last.Type != "state" {
 				t.Fatalf("compacted ring kept %q, want the terminal state event", last.Type)
 			}
+			if j.Profile() != nil || j.Timeline() != nil {
+				t.Fatal("compacted job still holds its profile or timeline")
+			}
 			break
 		}
 		if time.Now().After(deadline) {
@@ -512,7 +495,7 @@ func TestEventRetentionCompactsTerminalJobs(t *testing.T) {
 }
 
 // TestTaskTenantClassThreading: tenant, class, and admission wait set on
-// the Task surface in the job's accessors, View, and span name.
+// the Task surface in the job's accessors and View.
 func TestTaskTenantClassThreading(t *testing.T) {
 	f := New(Config{})
 	defer mustClose(t, f)
@@ -536,8 +519,5 @@ func TestTaskTenantClassThreading(t *testing.T) {
 	v := j.View()
 	if v.Tenant != "alice" || v.Class != "interactive" || v.AdmitWaitMS != 250 {
 		t.Errorf("view = %+v", v)
-	}
-	if got := j.spanName(); got != "tagged [r-000042] {alice/interactive}" {
-		t.Errorf("span name = %q", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/dtrace"
 )
 
@@ -97,6 +98,10 @@ type Job struct {
 	enqueued time.Time
 	started  time.Time
 	finished time.Time
+	// What the run produced besides the result, dropped at the retention
+	// age: the frame-anatomy profile and the distributed-trace timeline.
+	profile  *obs.FrameProfile
+	timeline *dtrace.Timeline
 
 	done chan struct{}
 
@@ -140,18 +145,34 @@ func (j *Job) AdmitWait() time.Duration { return j.admitWait }
 // Trace returns the job's traceparent context ("" when unsampled).
 func (j *Job) Trace() string { return j.trace }
 
-// spanName is the label used in trace spans, qualified with the origin
-// and tenant/class so a span in a farm trace can be tied back to the
-// request — and the tenant — that caused it.
-func (j *Job) spanName() string {
-	name := j.label
-	if j.origin != "" {
-		name += " [" + j.origin + "]"
-	}
-	if j.tenant != "" {
-		name += " {" + j.tenant + "/" + j.class + "}"
-	}
-	return name
+// SetProfile attaches the frame profile the job's run captured.
+func (j *Job) SetProfile(p *obs.FrameProfile) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.profile = p
+}
+
+// Profile returns the job's frame profile, or nil when its run captured
+// none or the profile has expired.
+func (j *Job) Profile() *obs.FrameProfile {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.profile
+}
+
+// SetTimeline attaches the trace timeline of the job's run.
+func (j *Job) SetTimeline(tl *dtrace.Timeline) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.timeline = tl
+}
+
+// Timeline returns the job's trace timeline, or nil when the job was not
+// sampled, never ran, or the timeline has expired.
+func (j *Job) Timeline() *dtrace.Timeline {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.timeline
 }
 
 // Publish appends an event to the job's stream: it is recorded in the
@@ -225,6 +246,21 @@ func (j *Job) closeEvents() {
 	}
 	j.evSubs = nil
 	j.evMu.Unlock()
+}
+
+// expire drops what a job that finished before cut holds beyond its
+// outcome: the profile, the timeline and the SSE progress trail. The
+// janitor calls it on every retained job with cut = now − Retention.
+func (j *Job) expire(cut time.Time) {
+	j.mu.Lock()
+	stale := j.state.Terminal() && !j.finished.IsZero() && j.finished.Before(cut)
+	if stale {
+		j.profile, j.timeline = nil, nil
+	}
+	j.mu.Unlock()
+	if stale {
+		j.compactEvents()
+	}
 }
 
 // compactEvents shrinks a terminal job's replay ring to its final event

@@ -1,11 +1,13 @@
 // Package dtrace is distributed tracing for the render-farm serving
 // stack: a W3C-traceparent-style context (trace ID, span ID, sampled
 // flag) minted when pimfarm accepts a submission, carried through
-// admission, the farm scheduler and the dist lease protocol into the
+// admission, the farm and the dist lease protocol into the
 // worker, and assembled back into one causally ordered per-job timeline.
 //
-// The in-process tracer (internal/obs) stops at process boundaries; this
-// package is what survives them. It deliberately reuses the same Chrome
+// The tracer in internal/obs is the simulator's cycle-domain recorder:
+// its spans are GPU cycles of one frame. This package is the one
+// wall-clock recorder: its spans are microseconds of real time, and they
+// survive process boundaries. It deliberately reuses the same Chrome
 // trace-event JSON export (obs.ChromeEvent) so a per-job timeline opens
 // in the same viewers as a `pimsim -tracefile` dump, with a "schema" top
 // level key (ignored by the viewers) so tooling can sniff the artifact.

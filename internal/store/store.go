@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/telem"
 )
 
@@ -93,9 +92,6 @@ type Config struct {
 	MaxBytes int64
 	// MaxEntries bounds the entry count; <= 0 selects DefaultMaxEntries.
 	MaxEntries int
-	// Tracer, when non-nil, receives hit/miss/put/evict instants on the
-	// "store" track (wall-clock microseconds since Open).
-	Tracer *obs.Tracer
 	// Metrics is the live-telemetry registry the store publishes
 	// pim_store_* series into; nil selects telem.Default().
 	Metrics *telem.Registry
@@ -143,7 +139,6 @@ type Counters struct {
 // Store is a content-addressed on-disk cache. Safe for concurrent use.
 type Store struct {
 	cfg Config
-	t0  time.Time
 	met storeMetrics
 
 	mu      sync.Mutex
@@ -178,7 +173,7 @@ func Open(cfg Config) (*Store, error) {
 	if reg == nil {
 		reg = telem.Default()
 	}
-	s := &Store{cfg: cfg, t0: time.Now(), met: newStoreMetrics(reg)}
+	s := &Store{cfg: cfg, met: newStoreMetrics(reg)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, err := s.scanLocked(); err != nil {
@@ -210,13 +205,11 @@ func (s *Store) Get(key string) ([]byte, Manifest, bool) {
 		s.misses++
 		s.mu.Unlock()
 		s.met.misses.Inc()
-		s.trace("miss", 0)
 		return nil, Manifest{}, false
 	}
 	payload, man, err := decodeEntry(key, raw)
 	if err != nil {
 		s.discardCorrupt(path, int64(len(raw)))
-		s.trace("corrupt", int64(len(raw)))
 		return nil, Manifest{}, false
 	}
 	now := time.Now()
@@ -225,7 +218,6 @@ func (s *Store) Get(key string) ([]byte, Manifest, bool) {
 	s.hits++
 	s.mu.Unlock()
 	s.met.hits.Inc()
-	s.trace("hit", int64(len(payload)))
 	return payload, man, true
 }
 
@@ -277,7 +269,6 @@ func (s *Store) Put(key string, man Manifest, payload []byte) error {
 	s.syncGaugesLocked()
 	s.mu.Unlock()
 	s.met.puts.Inc()
-	s.trace("put", int64(len(data)))
 	return nil
 }
 
@@ -393,7 +384,6 @@ func (s *Store) gcLocked() int {
 			s.evictions++
 			evicted++
 			s.met.evictions.Inc()
-			s.trace("evict", e.size)
 		}
 	}
 	s.syncGaugesLocked()
@@ -503,13 +493,4 @@ func writeFileAtomic(path string, data []byte) error {
 		d.Close()
 	}
 	return nil
-}
-
-// trace emits one store lifecycle instant when a tracer is attached.
-func (s *Store) trace(name string, bytes int64) {
-	if !s.cfg.Tracer.On() {
-		return
-	}
-	at := time.Since(s.t0).Microseconds()
-	s.cfg.Tracer.SpanArg("store", name, at, at, "bytes", bytes)
 }
