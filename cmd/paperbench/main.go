@@ -24,6 +24,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/golden"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -39,7 +40,7 @@ func main() {
 		storeDir  = flag.String("store", "", "durable result-store directory; reruns serve persisted results instead of re-simulating")
 		writeBase = flag.String("write-baseline", "", "write each experiment's results as golden baselines into this directory")
 		checkDir  = flag.String("check", "", "compare results against golden baselines in this directory; exit non-zero on drift")
-		relTol    = flag.Float64("tolerance", store.DefaultRelTol, "relative tolerance for -check summary-metric comparison")
+		relTol    = flag.Float64("tolerance", golden.DefaultRelTol, "relative tolerance for -check summary-metric comparison")
 		suitePath = flag.String("suite", "", "run a pim-render/suite/v1 scenario file instead of the registry experiments")
 		tags      = flag.String("tags", "", "with -suite: comma list of tags a case must carry to run")
 		tier      = flag.String("tier", "", "with -suite: only run cases of this tier (smoke, standard, extended)")
@@ -58,15 +59,14 @@ func main() {
 	if *parallel < 1 {
 		fatal(fmt.Errorf("-parallel must be at least 1, got %d", *parallel))
 	}
-	core.SetSweepParallelism(*parallel)
-	core.SetDefaultShards(*shards)
+	var st *store.Store
 	if *storeDir != "" {
-		st, err := store.Open(store.Config{Dir: *storeDir})
-		if err != nil {
+		var err error
+		if st, err = store.Open(store.Config{Dir: *storeDir}); err != nil {
 			fatal(err)
 		}
-		core.SetResultStore(st)
 	}
+	engine := core.NewEngine(core.EngineConfig{Store: st, Shards: *shards, Parallelism: *parallel})
 	wallStart := time.Now()
 	defer func() {
 		if err := prof.Stop(); err != nil {
@@ -75,8 +75,9 @@ func main() {
 	}()
 
 	// Ctrl-C cancels the in-flight sweep (through the registry's context)
-	// instead of killing the process mid-simulation.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
+	// instead of killing the process mid-simulation. The context carries
+	// the engine into every sweep.
+	ctx, stopSignals := signal.NotifyContext(core.WithEngine(context.Background(), engine), os.Interrupt)
 	defer stopSignals()
 
 	// -suite switches to the declarative scenario path: the suite file
@@ -87,8 +88,8 @@ func main() {
 			jsonOut: *jsonOut, csvOut: *csvOut,
 			writeBase: *writeBase, checkDir: *checkDir, relTol: *relTol,
 		})
-		reportSweep(time.Since(wallStart))
-		reportStore()
+		reportSweep(engine, time.Since(wallStart))
+		reportStore(st)
 		if failed {
 			// os.Exit skips the deferred profiler stop; flush it first.
 			if err := prof.Stop(); err != nil {
@@ -156,14 +157,14 @@ func main() {
 		}
 	}
 	if *writeBase != "" {
-		n, err := store.WriteBaselines(*writeBase, doc)
+		n, err := golden.WriteBaselines(*writeBase, doc)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "paperbench: wrote %d baselines to %s\n", n, *writeBase)
 	}
 	if *checkDir != "" {
-		rep, err := store.Check(*checkDir, doc, store.Tolerance{Rel: *relTol})
+		rep, err := golden.Check(*checkDir, doc, golden.Tolerance{Rel: *relTol})
 		if err != nil {
 			fatal(err)
 		}
@@ -172,8 +173,8 @@ func main() {
 			failed = true
 		}
 	}
-	reportSweep(time.Since(wallStart))
-	reportStore()
+	reportSweep(engine, time.Since(wallStart))
+	reportStore(st)
 	if failed {
 		if err := prof.Stop(); err != nil {
 			fmt.Fprintln(os.Stderr, "paperbench:", err)
@@ -186,8 +187,8 @@ func main() {
 // what a serial run would have spent simulating, so cell time over wall
 // time is the speedup the fan-out delivered. Goes to stderr so -csv/-json
 // stdout stays machine-readable.
-func reportSweep(wall time.Duration) {
-	c := core.SweepCounters()
+func reportSweep(e *core.Engine, wall time.Duration) {
+	c := e.SweepCounters()
 	if c.CellTime <= 0 || wall <= 0 {
 		return
 	}
@@ -200,8 +201,7 @@ func reportSweep(wall time.Duration) {
 // reportStore summarizes durable-store traffic when -store was given: hits
 // are simulations skipped entirely, misses were computed and written
 // through. Stderr, like the sweep line.
-func reportStore() {
-	st := core.ResultStore()
+func reportStore(st *store.Store) {
 	if st == nil {
 		return
 	}

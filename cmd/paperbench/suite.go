@@ -13,11 +13,11 @@ import (
 	"strings"
 
 	"repro"
-	"repro/internal/store"
+	"repro/internal/golden"
 )
 
 // suiteFlags is the -suite mode parameterization (shared flags resolved in
-// main: parallelism, shards and store are process-wide and already set).
+// main: parallelism, shards and store ride on ctx's engine).
 type suiteFlags struct {
 	path       string
 	tags       string
@@ -79,7 +79,7 @@ func runSuite(ctx context.Context, f suiteFlags) bool {
 	}
 
 	if f.writeBase != "" {
-		n, err := store.WriteBaselines(f.writeBase, doc)
+		n, err := golden.WriteBaselines(f.writeBase, doc)
 		if err != nil {
 			fatal(err)
 		}
@@ -87,7 +87,7 @@ func runSuite(ctx context.Context, f suiteFlags) bool {
 	}
 	failed := false
 	if f.checkDir != "" {
-		rep, err := store.Check(f.checkDir, doc, su.Tolerance(store.Tolerance{Rel: f.relTol}))
+		rep, err := golden.Check(f.checkDir, doc, su.Tolerance(golden.Tolerance{Rel: f.relTol}))
 		if err != nil {
 			fatal(err)
 		}

@@ -64,7 +64,7 @@ func newDistStoreServer(t *testing.T, cfg dist.Config, st *store.Store) (*httpte
 // the test process, torn down with the test.
 func startTestWorker(t *testing.T, base, id string) {
 	t.Helper()
-	t.Cleanup(startWorker(&dist.Worker{
+	t.Cleanup(startWorker(nil, &dist.Worker{
 		Client: &dist.Client{Base: base, Worker: id},
 		Exec:   execGrant,
 	}))
@@ -206,12 +206,14 @@ func TestDistSharedStoreWritesOnce(t *testing.T) {
 		return st
 	}
 	workerStore := open()
-	core.SetResultStore(workerStore)
-	t.Cleanup(func() { core.SetResultStore(nil) })
+	workerEngine := core.NewEngine(core.EngineConfig{Store: workerStore})
 
 	coordStore := open()
 	ts, _ := newDistStoreServer(t, dist.Config{TTL: time.Minute}, coordStore)
-	startTestWorker(t, ts.URL, "store-worker")
+	t.Cleanup(startWorker(workerEngine, &dist.Worker{
+		Client: &dist.Client{Base: ts.URL, Worker: "store-worker"},
+		Exec:   execGrant,
+	}))
 	bodies := []string{
 		`{"game":"doom3","width":160,"height":120,"design":"baseline"}`,
 		`{"game":"wolf","width":160,"height":120,"design":"bpim"}`,
@@ -231,10 +233,11 @@ func TestDistSharedStoreWritesOnce(t *testing.T) {
 		}
 	}
 
-	// RunCached in the worker's process reads the entry back from disk:
-	// the worker kept no memory copy.
+	// RunCached on the worker's engine reads the entry back from disk: the
+	// worker kept no memory copy.
 	disk := core.RunCacheCounters()["disk"]
-	if _, err := core.RunCached(workload.MustGet("doom3", 160, 120), core.Options{Design: config.Baseline}); err != nil {
+	ctx := core.WithEngine(context.Background(), workerEngine)
+	if _, err := core.RunCachedContext(ctx, workload.MustGet("doom3", 160, 120), core.Options{Design: config.Baseline}); err != nil {
 		t.Fatal(err)
 	}
 	if got := core.RunCacheCounters()["disk"]; got != disk+1 {
@@ -526,7 +529,7 @@ func TestDrainLetsRemoteWorkerFinish(t *testing.T) {
 	base := "http://" + ln.Addr().String()
 
 	started, release := make(chan struct{}), make(chan struct{})
-	t.Cleanup(startWorker(&dist.Worker{
+	t.Cleanup(startWorker(nil, &dist.Worker{
 		Client: &dist.Client{Base: base, Worker: "draining-worker"},
 		Exec: func(ctx context.Context, g *dist.Grant, progress func(any)) ([]byte, []byte, error) {
 			close(started)

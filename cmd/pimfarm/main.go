@@ -91,7 +91,6 @@ func main() {
 	}
 	log := slogx.New(os.Stderr, slogx.Options{Level: level, Timestamps: true})
 	slog.SetDefault(log)
-	core.SetDefaultShards(*shards)
 	if err := prof.Start(); err != nil {
 		fatal(err)
 	}
@@ -111,10 +110,7 @@ func main() {
 			"revision":   obs.BuildRevision(),
 		}).Set(1)
 
-	var st *store.Store
-	if *storeDir != "" {
-		st = openStore(log, store.Config{Dir: *storeDir})
-	}
+	st := openStore(log, store.Config{Dir: *storeDir})
 	slots := *workers
 	if slots <= 0 {
 		slots = runtime.GOMAXPROCS(0)
@@ -157,7 +153,8 @@ func main() {
 	if *distMode {
 		log.Info("distributed mode", "lease_ttl", leaseTTL.String())
 	} else {
-		stopLocal = startWorker(api.localWorker(slots))
+		engine := core.NewEngine(core.EngineConfig{Store: st, Shards: *shards})
+		stopLocal = startWorker(engine, api.localWorker(slots))
 	}
 	if *journal != "" {
 		jn, err := dist.OpenJournal(*journal)

@@ -43,18 +43,14 @@ func newTestServer(t *testing.T) (*httptest.Server, *farm.Farm) {
 // newLocalServer builds a local-mode API server over f: a coordinator
 // with a private metrics registry plus an in-process worker of slots
 // slots, both stopped when the test ends (after any farm shutdown the test
-// registers later, so draining jobs still have their worker). A non-nil
-// st is attached to the worker's store chain, as openStore does for
-// pimfarm -store, and detached when the test ends.
+// registers later, so draining jobs still have their worker). The worker
+// runs on a private core engine over st (nil for none), as pimfarm -store
+// builds it.
 func newLocalServer(t *testing.T, f *farm.Farm, st *store.Store, slots int) *server {
 	t.Helper()
-	if st != nil {
-		core.SetResultStore(st)
-		t.Cleanup(func() { core.SetResultStore(nil) })
-	}
 	coord := dist.NewCoordinator(dist.Config{Metrics: telem.NewRegistry()})
 	api := newServer(f, st, coord)
-	stop := startWorker(api.localWorker(slots))
+	stop := startWorker(core.NewEngine(core.EngineConfig{Store: st}), api.localWorker(slots))
 	t.Cleanup(func() {
 		stop()
 		coord.Close()
@@ -366,15 +362,15 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestLocalStoreWritesOnce: local mode with -store. openStore attaches the
-// store to the in-process worker's chain, which owns the write: one cold
+// TestLocalStoreWritesOnce: local mode with -store. The in-process
+// worker's engine holds the store, and its chain owns the write: one cold
 // job writes one entry, the payload the worker shipped is that entry's
 // payload byte for byte, and the worker keeps no memory copy — a later
 // RunCached of the same cell is a disk hit, not a memory one.
 func TestLocalStoreWritesOnce(t *testing.T) {
 	st := openStore(slog.New(slog.NewTextHandler(io.Discard, nil)),
 		store.Config{Dir: t.TempDir(), Metrics: telem.NewRegistry()})
-	t.Cleanup(func() { core.SetResultStore(nil) })
+	engine := core.NewEngine(core.EngineConfig{Store: st})
 
 	f := farm.New(farm.Config{Tier: core.StoreTier(st)})
 	coord := dist.NewCoordinator(dist.Config{Metrics: telem.NewRegistry()})
@@ -392,7 +388,7 @@ func TestLocalStoreWritesOnce(t *testing.T) {
 		mu.Unlock()
 		return payload, profile, err
 	}
-	stop := startWorker(w)
+	stop := startWorker(engine, w)
 	ts := httptest.NewServer(api)
 	t.Cleanup(func() {
 		ts.Close()
@@ -428,7 +424,7 @@ func TestLocalStoreWritesOnce(t *testing.T) {
 	mu.Unlock()
 
 	before := core.RunCacheCounters()
-	if _, err := core.RunCached(wl, opts); err != nil {
+	if _, err := core.RunCachedContext(core.WithEngine(context.Background(), engine), wl, opts); err != nil {
 		t.Fatal(err)
 	}
 	after := core.RunCacheCounters()
@@ -643,7 +639,7 @@ func startLocalServer(t *testing.T, f *farm.Farm, adjust func(*dist.Worker)) *ht
 	api := newServer(f, nil, coord)
 	w := api.localWorker(1)
 	adjust(w)
-	stop := startWorker(w)
+	stop := startWorker(nil, w)
 	ts := httptest.NewServer(api)
 	t.Cleanup(func() {
 		ts.Close()

@@ -54,7 +54,6 @@ func workerMain(args []string) {
 	}
 	log := slogx.New(os.Stderr, slogx.Options{Level: level, Timestamps: true})
 	slog.SetDefault(log)
-	core.SetDefaultShards(*shards)
 	if *id == "" {
 		host, _ := os.Hostname()
 		if host == "" {
@@ -63,11 +62,9 @@ func workerMain(args []string) {
 		*id = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 
-	if *storeDir != "" {
-		openStore(log, store.Config{Dir: *storeDir})
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	st := openStore(log, store.Config{Dir: *storeDir})
+	engine := core.NewEngine(core.EngineConfig{Store: st, Shards: *shards})
+	ctx, stop := signal.NotifyContext(core.WithEngine(context.Background(), engine), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	w := &dist.Worker{
@@ -84,26 +81,30 @@ func workerMain(args []string) {
 	log.Info("worker stopped", "id", *id)
 }
 
-// openStore opens the durable result store and attaches it to core's
-// store → compute → write chain, which execGrant runs. Every pimfarm
-// process with -store does this, so whichever worker simulates a job — a
-// remote one or local mode's in-process one — writes its result once, and
-// a job another node already computed is a disk hit here. A coordinator's
-// farm only reads the store (core.StoreTier).
+// openStore opens the durable result store and logs its size; without a
+// directory (no -store) there is none. Every pimfarm process builds its
+// core engine over it, so whichever worker simulates a job — a remote one
+// or local mode's in-process one — writes its result once through
+// execGrant's store → compute → write chain, and a job another node
+// already computed is a disk hit there. A coordinator's farm only reads
+// the store (core.StoreTier).
 func openStore(log *slog.Logger, cfg store.Config) *store.Store {
+	if cfg.Dir == "" {
+		return nil
+	}
 	st, err := store.Open(cfg)
 	if err != nil {
 		fatal(err)
 	}
-	core.SetResultStore(st)
 	log.Info("store open", "dir", st.Dir(), "entries", st.Len(), "bytes", st.Size())
 	return st
 }
 
-// startWorker runs w until the returned stop function is called; stop
-// returns once every lease loop has exited.
-func startWorker(w *dist.Worker) (stop func()) {
-	ctx, cancel := context.WithCancel(context.Background())
+// startWorker runs w on engine e (nil for core's default) until the
+// returned stop function is called; stop returns once every lease loop
+// has exited.
+func startWorker(e *core.Engine, w *dist.Worker) (stop func()) {
+	ctx, cancel := context.WithCancel(core.WithEngine(context.Background(), e))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

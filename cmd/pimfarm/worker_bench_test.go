@@ -28,14 +28,13 @@ func BenchmarkWorkerColdJob(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := &dist.Grant{Job: "bench", Key: rv.Key, Spec: spec}
-	b.Cleanup(func() { core.SetResultStore(nil) })
-	run := func() {
-		payload, _, err := execGrant(context.Background(), g, func(any) {})
+	run := func(ctx context.Context) {
+		payload, _, err := execGrant(ctx, g, func(any) {})
 		if err != nil || len(payload) == 0 {
 			b.Fatalf("execGrant: %d payload bytes, %v", len(payload), err)
 		}
 	}
-	run() // builds and caches the scene
+	run(context.Background()) // builds and caches the scene
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -44,8 +43,8 @@ func BenchmarkWorkerColdJob(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		core.SetResultStore(st)
+		ctx := core.WithEngine(context.Background(), core.NewEngine(core.EngineConfig{Store: st}))
 		b.StartTimer()
-		run()
+		run(ctx)
 	}
 }

@@ -6,10 +6,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/config"
 	"repro/internal/dram"
@@ -50,9 +48,10 @@ type Options struct {
 	// V-E's multi-HMC scenario); 0 or 1 means a single cube.
 	HMCCubes int
 	// Shards is the number of worker goroutines sharding one frame's
-	// tile-group scan (0 = DefaultShards, 1 = serial). Sharding is a host
-	// parallelization knob only: simulated results are byte-identical at
-	// any shard count, so Shards is excluded from cache and store keys.
+	// tile-group scan (0 = the engine's shard default, 1 = serial).
+	// Sharding is a host parallelization knob only: simulated results are
+	// byte-identical at any shard count, so Shards is excluded from cache
+	// and store keys.
 	Shards int
 	// Trace, when non-nil, receives cycle-timeline spans from every
 	// instrumented unit (pipeline stages, texture units, offload packages,
@@ -252,23 +251,6 @@ func cachedScene(spec scene.Spec, compressed bool) *scene.Scene {
 	return &sc
 }
 
-// defaultShards is the Shards value applied when Options.Shards is zero;
-// non-positive means runtime.GOMAXPROCS(0).
-var defaultShards atomic.Int32
-
-// SetDefaultShards sets the process-wide shard count used when
-// Options.Shards is zero. Non-positive restores the GOMAXPROCS default.
-func SetDefaultShards(n int) { defaultShards.Store(int32(n)) }
-
-// DefaultShards returns the shard count applied when Options.Shards is
-// zero: the SetDefaultShards override, else GOMAXPROCS.
-func DefaultShards() int {
-	if n := int(defaultShards.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Run simulates a workload under the given options and returns its
 // measurements.
 func Run(wl workload.Workload, opts Options) (*Result, error) {
@@ -304,7 +286,7 @@ func runScene(ctx context.Context, sc *scene.Scene, wl workload.Workload, cfg co
 	pipe := gpu.NewPipeline(cfg, wl.Width, wl.Height, backend, path)
 	pipe.Shards = opts.Shards // below 1 runs one worker
 	if pipe.Shards == 0 {
-		pipe.Shards = DefaultShards()
+		pipe.Shards = engineFrom(ctx).shards()
 	}
 	onProgress, gauges := simTelemetry(cfg.Design)
 	if user := opts.Progress; user != nil {

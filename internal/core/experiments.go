@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/area"
 	"repro/internal/config"
-	"repro/internal/farm/flight"
-	"repro/internal/farm/lru"
 	"repro/internal/mem"
 	"repro/internal/quality"
 	"repro/internal/stats"
@@ -45,16 +43,6 @@ func MiniSet() []workload.Workload {
 // stays comfortably under this too.
 const DefaultRunCacheCap = 512
 
-// runCache memoizes simulation results across experiments (Figs 10-13
-// share one sweep; Figs 14-16 share the threshold sweep). It is LRU-
-// bounded, and runFlight collapses concurrent computations of the same
-// key into one simulation, so duplicate in-flight work is impossible even
-// under parallel sweeps.
-var (
-	runFlight flight.Group[*Result]
-	runCache  = lru.New[*Result](DefaultRunCacheCap)
-)
-
 // CacheKey returns the memoization key identifying a (workload, Options)
 // simulation — the identity the farm dedups and caches on (cmd/pimfarm
 // keys its jobs with it).
@@ -68,41 +56,43 @@ func cacheKey(wl workload.Workload, opts Options) string {
 }
 
 // RunCached is Run with cross-experiment memoization and optional durable
-// persistence: the memory LRU in front of runStored's store → compute →
-// write chain (the store consulted when one is attached via
-// SetResultStore), with the singleflight group spanning every tier so at
-// most one lookup-or-simulation per key is ever in flight. Corrupt or
-// stale store entries simply miss and are recomputed and rewritten.
+// persistence on the default engine: the memory LRU in front of
+// runStored's store → compute → write chain, with the singleflight group
+// spanning every tier so at most one lookup-or-simulation per key is ever
+// in flight. Corrupt or stale store entries simply miss and are recomputed
+// and rewritten.
 func RunCached(wl workload.Workload, opts Options) (*Result, error) {
 	return RunCachedContext(context.Background(), wl, opts)
 }
 
-// RunCachedContext is RunCached with cancellation. The caller's context is
-// checked before any tier is consulted and threaded into the simulation; a
-// follower whose singleflight leader was canceled retries with its own
-// live context instead of inheriting the foreign cancellation.
+// RunCachedContext is RunCached on ctx's engine (WithEngine), with
+// cancellation. The caller's context is checked before any tier is
+// consulted and threaded into the simulation; a follower whose
+// singleflight leader was canceled retries with its own live context
+// instead of inheriting the foreign cancellation.
 func RunCachedContext(ctx context.Context, wl workload.Workload, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	e := engineFrom(ctx)
 	key := cacheKey(wl, opts)
-	if r, ok := runCache.Get(key); ok {
+	if r, ok := e.cache.Get(key); ok {
 		runCacheOutcome("memory")
 		return r, nil
 	}
 	for {
-		r, err, shared := runFlight.Do(key, func() (*Result, error) {
+		r, err, shared := e.flight.Do(key, func() (*Result, error) {
 			// Re-check under the flight: a call that completed between our
 			// cache miss and winning the flight may have filled the entry.
-			if r, ok := runCache.Get(key); ok {
+			if r, ok := e.cache.Get(key); ok {
 				runCacheOutcome("memory")
 				return r, nil
 			}
-			r, _, err := runStored(ctx, wl, opts, key)
+			r, _, err := e.runStored(ctx, wl, opts, key)
 			if err != nil {
 				return nil, err
 			}
-			runCache.Add(key, r)
+			e.cache.Add(key, r)
 			return r, nil
 		})
 		if err != nil && shared && ctx.Err() == nil &&
@@ -113,10 +103,6 @@ func RunCachedContext(ctx context.Context, wl workload.Workload, opts Options) (
 		return r, err
 	}
 }
-
-// ClearRunCache empties the memoization cache (tests use it to bound
-// memory).
-func ClearRunCache() { runCache.Clear() }
 
 // Experiment bundles a rendered table with headline summary numbers
 // (keyed aggregates the tests and EXPERIMENTS.md assert on).

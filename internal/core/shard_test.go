@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -71,18 +72,23 @@ func TestRunContextCanceled(t *testing.T) {
 	}
 }
 
-// TestDefaultShards pins the process-wide default: 0 or negative restores
-// GOMAXPROCS, positive values stick.
+// TestDefaultShards pins how an engine resolves its shard default and
+// sweep width: 0 or negative selects GOMAXPROCS, positive values stick.
+// DefaultShards is the default engine's.
 func TestDefaultShards(t *testing.T) {
-	old := DefaultShards()
-	defer SetDefaultShards(0)
-	SetDefaultShards(3)
-	if got := DefaultShards(); got != 3 {
-		t.Fatalf("DefaultShards after Set(3) = %d", got)
+	procs := runtime.GOMAXPROCS(0)
+	for _, n := range []int{0, -1} {
+		e := NewEngine(EngineConfig{Shards: n, Parallelism: n})
+		if e.shards() != procs || e.sweepWidth() != procs {
+			t.Fatalf("engine of %d: shards %d, sweep width %d; want GOMAXPROCS %d",
+				n, e.shards(), e.sweepWidth(), procs)
+		}
 	}
-	SetDefaultShards(0)
-	if got := DefaultShards(); got < 1 {
-		t.Fatalf("DefaultShards after Set(0) = %d, want >= 1", got)
+	e := NewEngine(EngineConfig{Shards: 3, Parallelism: 2})
+	if e.shards() != 3 || e.sweepWidth() != 2 {
+		t.Fatalf("engine of 3 shards, 2 wide: shards %d, sweep width %d", e.shards(), e.sweepWidth())
 	}
-	_ = old
+	if got := DefaultShards(); got != procs {
+		t.Fatalf("DefaultShards = %d, want GOMAXPROCS %d", got, procs)
+	}
 }

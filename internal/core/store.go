@@ -1,6 +1,6 @@
 package core
 
-// Durable result-store wiring: a process-wide *store.Store is the disk
+// Durable result-store wiring: the engine's *store.Store is the disk
 // tier, and runStored is the one chain that touches it — a decode-verified
 // store lookup, and on a miss a simulation whose result is encoded once
 // and written. RunCachedContext puts the memory LRU and its singleflight
@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/energy"
@@ -45,39 +44,19 @@ const SimVersion = "2"
 // this package.
 const StoredResultSchema = "pim-render/result/v1"
 
-var (
-	resultStoreMu  sync.RWMutex
-	resultStoreVar *store.Store
-)
-
-// SetResultStore attaches (or with nil detaches) the durable result store
-// runStored reads before simulating and writes after.
-func SetResultStore(st *store.Store) {
-	resultStoreMu.Lock()
-	defer resultStoreMu.Unlock()
-	resultStoreVar = st
-}
-
-// ResultStore returns the attached durable result store, if any.
-func ResultStore() *store.Store {
-	resultStoreMu.RLock()
-	defer resultStoreMu.RUnlock()
-	return resultStoreVar
-}
-
 // RunPayload runs the store → compute → write chain for one cell and
 // returns the result with its pim-render/result/v1 payload: the exact
-// bytes read from or written to the attached store (encoded once, without
-// a write, when none is attached). It keeps no in-memory copy — on the
+// bytes read from or written to the store of ctx's engine (encoded once,
+// without a write, when it has none). It keeps no in-memory copy — on the
 // serving path the farm's LRU is the memory tier — so a worker ships a
 // disk hit without re-encoding it and a computed result after one encode.
 func RunPayload(ctx context.Context, wl workload.Workload, opts Options) (*Result, []byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	r, payload, err := runStored(ctx, wl, opts, cacheKey(wl, opts))
+	r, payload, err := engineFrom(ctx).runStored(ctx, wl, opts, cacheKey(wl, opts))
 	if err == nil && payload == nil {
-		// No store attached, or the encode for it failed: encode for the wire.
+		// No store on the engine, or its encode failed: encode for the wire.
 		_, payload, err = encodeStoredResult(ctx, r)
 	}
 	if err != nil {
@@ -88,13 +67,13 @@ func RunPayload(ctx context.Context, wl workload.Workload, opts Options) (*Resul
 
 // runStored is the one path from the durable store to a simulation and
 // back. A decode-verified entry for key is served with its payload; any
-// miss — absent, corrupt, stale or undecodable — simulates, and with a
-// store attached encodes the result once and writes it. Persistence is
+// miss — absent, corrupt, stale or undecodable — simulates, and when e
+// has a store encodes the result once and writes it. Persistence is
 // best-effort: a failed put leaves the run standing (store counters
 // record put errors), and so does a failed encode, which returns no
 // payload.
-func runStored(ctx context.Context, wl workload.Workload, opts Options, key string) (*Result, []byte, error) {
-	st := ResultStore()
+func (e *Engine) runStored(ctx context.Context, wl workload.Workload, opts Options, key string) (*Result, []byte, error) {
+	st := e.cfg.Store
 	if st != nil {
 		if r, payload, ok := loadStoredResult(st, key); ok {
 			runCacheOutcome("disk")

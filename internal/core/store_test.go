@@ -12,22 +12,21 @@ import (
 	"repro/internal/workload"
 )
 
-// withStore attaches a fresh durable store for one test and detaches it on
-// cleanup, leaving the process-wide state as it found it.
-func withStore(t *testing.T) *store.Store {
+// withStore opens a fresh durable store for one test and returns it with
+// a context whose runs use a private engine over it.
+func withStore(t *testing.T) (*store.Store, context.Context) {
 	t.Helper()
 	st, err := store.Open(store.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := ResultStore()
-	SetResultStore(st)
-	ClearRunCache()
-	t.Cleanup(func() {
-		SetResultStore(prev)
-		ClearRunCache()
-	})
-	return st
+	return st, engineCtx(st)
+}
+
+// engineCtx returns a context whose runs use a new private engine over st
+// (nil for none): an empty run cache, as after a process restart.
+func engineCtx(st *store.Store) context.Context {
+	return WithEngine(context.Background(), NewEngine(EngineConfig{Store: st}))
 }
 
 // TestStoredResultRoundTrip pins the codec: a restored Result reproduces
@@ -93,11 +92,11 @@ func TestStoredResultRoundTrip(t *testing.T) {
 // wipe (a "restart"), RunCached serves the persisted result instead of
 // re-simulating, and a corrupted entry is recomputed and rewritten.
 func TestRunCachedUsesStore(t *testing.T) {
-	st := withStore(t)
+	st, ctx := withStore(t)
 	wl := workload.MustGet("doom3", 320, 240)
 	opts := Options{Design: config.BPIM}
 
-	cold, err := RunCached(wl, opts)
+	cold, err := RunCachedContext(ctx, wl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +104,7 @@ func TestRunCachedUsesStore(t *testing.T) {
 		t.Fatalf("cold counters: %+v", c)
 	}
 
-	ClearRunCache()
-	warm, err := RunCached(wl, opts)
+	warm, err := RunCachedContext(engineCtx(st), wl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +120,6 @@ func TestRunCachedUsesStore(t *testing.T) {
 
 	// Corrupt the entry on disk: the next restart-read treats it as a miss,
 	// recomputes, and rewrites a good entry.
-	ClearRunCache()
 	path := st.EntryPath(cacheKey(wl, opts))
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -132,7 +129,7 @@ func TestRunCachedUsesStore(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	redone, err := RunCached(wl, opts)
+	redone, err := RunCachedContext(engineCtx(st), wl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +139,7 @@ func TestRunCachedUsesStore(t *testing.T) {
 	if c := st.Counters(); c.Corrupt != 1 || c.Puts != 2 {
 		t.Fatalf("recovery counters: %+v", c)
 	}
-	ClearRunCache()
-	again, err := RunCached(wl, opts)
+	again, err := RunCachedContext(engineCtx(st), wl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +155,7 @@ func TestRunCachedUsesStore(t *testing.T) {
 // directly: it misses an empty store, serves what the store chain wrote,
 // and a nil store yields a tier that misses every key.
 func TestStoreTierAdapts(t *testing.T) {
-	st := withStore(t)
+	st, ctx := withStore(t)
 	tier := StoreTier(st)
 	if tier == nil {
 		t.Fatal("nil tier for a live store")
@@ -177,7 +173,7 @@ func TestStoreTierAdapts(t *testing.T) {
 	if _, ok := StoreTier(nil).Get(key); ok {
 		t.Fatal("nil tier hit")
 	}
-	r, err := RunCached(wl, opts) // the chain writes the entry
+	r, err := RunCachedContext(ctx, wl, opts) // the chain writes the entry
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +197,10 @@ func TestStoreTierAdapts(t *testing.T) {
 // so a later RunCached is a disk hit too. Without a store the payload is
 // still produced, and decodes to the same cell.
 func TestRunPayloadShipsStoredBytes(t *testing.T) {
-	st := withStore(t)
+	st, ctx := withStore(t)
 	wl := workload.MustGet("wolf", 160, 120)
 	opts := Options{Design: config.STFIM}
 	key := cacheKey(wl, opts)
-	ctx := context.Background()
 
 	r, cold, err := RunPayload(ctx, wl, opts)
 	if err != nil {
@@ -234,15 +229,14 @@ func TestRunPayloadShipsStoredBytes(t *testing.T) {
 	}
 
 	disk := RunCacheCounters()["disk"]
-	if _, err := RunCached(wl, opts); err != nil {
+	if _, err := RunCachedContext(ctx, wl, opts); err != nil {
 		t.Fatal(err)
 	}
 	if got := RunCacheCounters()["disk"]; got != disk+1 {
 		t.Fatalf("RunCached disk hits %d -> %d: RunPayload left a memory copy", disk, got)
 	}
 
-	SetResultStore(nil)
-	_, bare, err := RunPayload(ctx, wl, opts)
+	_, bare, err := RunPayload(engineCtx(nil), wl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

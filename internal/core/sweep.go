@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,30 +13,12 @@ import (
 // and suite runs) are embarrassingly parallel: every (workload, Options)
 // cell is an independent simulation. Each sweep warms the run cache with
 // one bounded fan-out over RunCachedContext, then aggregates serially.
-// runFlight collapses duplicate cells, and the worker count is a single
-// process-wide knob (paperbench -parallel).
+// The engine on the sweep's context collapses duplicate cells and sets the
+// worker count (paperbench -parallel).
 
-var (
-	sweepWorkers atomic.Int32 // 0 selects GOMAXPROCS
-	sweepCells   atomic.Uint64
-	sweepBusyNs  atomic.Int64
-)
-
-// SetSweepParallelism sets how many cells a sweep simulates at once;
-// n <= 0 restores the default (GOMAXPROCS).
-func SetSweepParallelism(n int) { sweepWorkers.Store(int32(n)) }
-
-// sweepParallelism returns the number of cells a sweep simulates at once.
-func sweepParallelism() int {
-	if n := int(sweepWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SweepStats is the process's sweep activity so far.
+// SweepStats is an engine's sweep activity so far.
 type SweepStats struct {
-	// Workers is the current sweep parallelism.
+	// Workers is the engine's sweep parallelism.
 	Workers int
 	// Cells counts the cells sweep fan-outs have run.
 	Cells uint64
@@ -46,12 +27,12 @@ type SweepStats struct {
 	CellTime time.Duration
 }
 
-// SweepCounters snapshots sweep activity (paperbench's sweep: line).
-func SweepCounters() SweepStats {
+// SweepCounters snapshots e's sweep activity (paperbench's sweep: line).
+func (e *Engine) SweepCounters() SweepStats {
 	return SweepStats{
-		Workers:  sweepParallelism(),
-		Cells:    sweepCells.Load(),
-		CellTime: time.Duration(sweepBusyNs.Load()),
+		Workers:  e.sweepWidth(),
+		Cells:    e.cells.Load(),
+		CellTime: time.Duration(e.busyNs.Load()),
 	}
 }
 
@@ -62,9 +43,10 @@ type RunSpec struct {
 }
 
 // Prefetch warms the run cache by running the given cells through
-// RunCachedContext on SetSweepParallelism goroutines under ctx. Identical
-// cells (within this call or racing with another sweep) collapse into one
-// simulation in runFlight. It returns the first error in cell order.
+// RunCachedContext under ctx, on as many goroutines as the sweep width of
+// ctx's engine (WithEngine; the default engine's is GOMAXPROCS). Identical
+// cells (within this call or racing with another sweep on the same engine)
+// collapse into one simulation. It returns the first error in cell order.
 // After Prefetch returns nil, serial aggregation loops hit the cache; if
 // an entry was evicted meanwhile, RunCached simply recomputes it, so
 // correctness never depends on cache residency.
@@ -72,18 +54,19 @@ func Prefetch(ctx context.Context, specs []RunSpec) error {
 	if len(specs) < 2 {
 		return nil
 	}
+	e := engineFrom(ctx)
 	errs := make([]error, len(specs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := min(sweepParallelism(), len(specs)); w > 0; w-- {
+	for w := min(e.sweepWidth(), len(specs)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(specs); i = int(next.Add(1)) - 1 {
 				start := time.Now()
 				_, errs[i] = RunCachedContext(ctx, specs[i].Workload, specs[i].Options)
-				sweepBusyNs.Add(int64(time.Since(start)))
-				sweepCells.Add(1)
+				e.busyNs.Add(int64(time.Since(start)))
+				e.cells.Add(1)
 			}
 		}()
 	}

@@ -11,16 +11,11 @@ import (
 	"repro/internal/workload"
 )
 
-// TestPrefetchBoundsAndDedups pins the sweep fan-out's contract: at
-// SetSweepParallelism(2) two cells simulate at once and never more, and
+// TestPrefetchBoundsAndDedups pins the sweep fan-out's contract: on an
+// engine of Parallelism 2 two cells simulate at once and never more, and
 // duplicate cells collapse so each distinct cell simulates exactly once.
 func TestPrefetchBoundsAndDedups(t *testing.T) {
-	SetSweepParallelism(2)
-	ClearRunCache()
-	t.Cleanup(func() {
-		SetSweepParallelism(0)
-		ClearRunCache()
-	})
+	e := NewEngine(EngineConfig{Parallelism: 2})
 	wl := workload.MustGet("wolf", 48, 36)
 	designs := []config.Design{config.Baseline, config.BPIM, config.STFIM, config.ATFIM}
 
@@ -61,8 +56,8 @@ func TestPrefetchBoundsAndDedups(t *testing.T) {
 			specs = append(specs, RunSpec{wl, opts})
 		}
 	}
-	before := SweepCounters()
-	if err := Prefetch(context.Background(), specs); err != nil {
+	before := e.SweepCounters()
+	if err := Prefetch(WithEngine(context.Background(), e), specs); err != nil {
 		t.Fatal(err)
 	}
 	if peak != 2 {
@@ -73,7 +68,7 @@ func TestPrefetchBoundsAndDedups(t *testing.T) {
 			t.Errorf("%s simulated %d times, want exactly once", designs[i], n)
 		}
 	}
-	after := SweepCounters()
+	after := e.SweepCounters()
 	if cells := after.Cells - before.Cells; cells != uint64(len(specs)) {
 		t.Errorf("sweep counted %d cells, want %d", cells, len(specs))
 	}

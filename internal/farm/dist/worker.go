@@ -48,9 +48,9 @@ type Transport interface {
 // third of the TTL while executing, and reports completion. cmd/pimfarm
 // runs one Worker per `pimfarm worker` process, and one in-process in
 // local mode, with an ExecFunc that decodes the job spec and simulates
-// through core.RunPayload, which reads and writes the attached store — so
-// pointing workers at a shared -store directory makes every node's results
-// warm hits everywhere.
+// through core.RunPayload, which reads and writes the store of the
+// worker's core engine — so pointing workers at a shared -store directory
+// makes every node's results warm hits everywhere.
 type Worker struct {
 	// Client speaks to the coordinator; required.
 	Client Transport

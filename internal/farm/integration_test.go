@@ -116,34 +116,3 @@ func assertResultsEqual(t *testing.T, label string, got, want *core.Result) {
 		}
 	}
 }
-
-// TestRunCachedSingleFlight hammers core.RunCached with concurrent
-// duplicate calls: every caller must get the same *Result pointer (one
-// simulation, shared by all) with no data race.
-func TestRunCachedSingleFlight(t *testing.T) {
-	core.ClearRunCache()
-	wl := core.MiniSet()[0]
-	opts := core.Options{Design: config.Baseline}
-
-	const callers = 12
-	results := make([]*core.Result, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := core.RunCached(wl, opts)
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
-				return
-			}
-			results[i] = r
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < callers; i++ {
-		if results[i] != results[0] {
-			t.Fatalf("caller %d got a different *Result: duplicate in-flight simulation happened", i)
-		}
-	}
-}

@@ -1,13 +1,12 @@
-package store
-
-// Golden-baseline regression checking: paperbench -write-baseline snapshots
-// every experiment's table and summary metrics into a directory of small
-// JSON documents, and -check diffs a fresh run against them within
-// per-metric tolerances, producing a readable per-experiment report and a
-// non-zero exit on drift. The committed golden/ directory plus a CI job
-// guard the paper's reproduced shapes (the A-TFIM filtering speedup, the
-// S-TFIM traffic blow-up, the Fig. 14-16 threshold knee) against silent
-// regression.
+// Package golden is golden-baseline regression checking: paperbench
+// -write-baseline snapshots every experiment's table and summary metrics
+// into a directory of small JSON documents, and -check diffs a fresh run
+// against them within per-metric tolerances, producing a readable
+// per-experiment report and a non-zero exit on drift. The committed
+// golden/ directory plus a CI job guard the paper's reproduced shapes (the
+// A-TFIM filtering speedup, the S-TFIM traffic blow-up, the Fig. 14-16
+// threshold knee) against silent regression.
+package golden
 
 import (
 	"encoding/json"
@@ -20,6 +19,7 @@ import (
 	"strings"
 
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // BaselineSchema identifies the golden-baseline document layout.
@@ -64,7 +64,7 @@ func WriteBaselines(dir string, set *obs.ExperimentSet) (int, error) {
 			return n, fmt.Errorf("baseline: %s: %w", e.Name, err)
 		}
 		data = append(data, '\n')
-		if err := writeFileAtomic(filepath.Join(dir, e.Name+".json"), data); err != nil {
+		if err := store.WriteFileAtomic(filepath.Join(dir, e.Name+".json"), data); err != nil {
 			return n, fmt.Errorf("baseline: %s: %w", e.Name, err)
 		}
 		n++

@@ -1,4 +1,4 @@
-package store
+package golden
 
 import (
 	"os"

@@ -1,6 +1,5 @@
 // Package store is the durable experiment store: a content-addressed,
-// crash-safe on-disk cache of simulation results plus the golden-baseline
-// regression checker built on top of it (baseline.go).
+// crash-safe on-disk cache of simulation results.
 //
 // Entries are opaque byte payloads keyed by a stable string (the farm and
 // core key results by core.CacheKey); the key is hashed to a file path, so
@@ -252,7 +251,7 @@ func (s *Store) Put(key string, man Manifest, payload []byte) error {
 	if fi, err := os.Stat(path); err == nil {
 		oldSize, replaced = fi.Size(), true
 	}
-	if err := writeFileAtomic(path, data); err != nil {
+	if err := WriteFileAtomic(path, data); err != nil {
 		return s.putErr(fmt.Errorf("store: %w", err))
 	}
 
@@ -456,10 +455,10 @@ func decodeEntry(key string, raw []byte) ([]byte, Manifest, error) {
 	return payload, h.Manifest, nil
 }
 
-// writeFileAtomic writes data to path via a same-directory temp file,
+// WriteFileAtomic writes data to path via a same-directory temp file,
 // fsync and rename, then best-effort fsyncs the directory so the rename
-// itself is durable.
-func writeFileAtomic(path string, data []byte) error {
+// itself is durable. The golden-baseline writer shares it.
+func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

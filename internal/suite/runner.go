@@ -7,8 +7,8 @@ import (
 	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/golden"
 	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // CaseResult is one completed suite case.
@@ -24,7 +24,7 @@ type CaseResults []CaseResult
 
 // Runner executes suites on the shared sweep fan-out (core.Prefetch).
 // Cases run in parallel (deduped by cache key, memoized through the run
-// cache and durable store), then aggregate serially in declaration order,
+// cache and durable store of the context's core engine), then aggregate serially in declaration order,
 // so a suite run is byte-identical to running each case's spec alone —
 // at any parallelism.
 type Runner struct {
@@ -79,7 +79,7 @@ func (r *Runner) Run(ctx context.Context, s *Suite) (CaseResults, error) {
 // one experiment per case (named by case ID) whose rows and summary carry
 // every counter and gauge of the case's metrics snapshot. The rendering is
 // deterministic, so equal results produce byte-identical documents and the
-// golden-baseline machinery (store.WriteBaselines / store.Check) applies
+// golden-baseline machinery (golden.WriteBaselines / golden.Check) applies
 // to suites unchanged.
 func (rs CaseResults) ExperimentSet(suiteName string) *obs.ExperimentSet {
 	set := obs.NewExperimentSet(suiteName)
@@ -128,7 +128,7 @@ func (cr *CaseResult) Experiment() obs.ExperimentResult {
 // checking. Entries already present in base.PerMetric win, so a
 // tolerances.json in the golden directory or an explicit caller override
 // still takes precedence over the suite file.
-func (s *Suite) Tolerance(base store.Tolerance) store.Tolerance {
+func (s *Suite) Tolerance(base golden.Tolerance) golden.Tolerance {
 	if len(s.Tolerances) == 0 {
 		return base
 	}

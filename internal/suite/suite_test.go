@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/store"
+	"repro/internal/golden"
 )
 
 // minimal valid suite document used as the mutation base in error tests.
@@ -111,7 +111,7 @@ func TestToleranceMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Explicit base entries win over the suite's overrides.
-	base := store.Tolerance{Rel: 1e-6, PerMetric: map[string]float64{"a.cycles": 0.5}}
+	base := golden.Tolerance{Rel: 1e-6, PerMetric: map[string]float64{"a.cycles": 0.5}}
 	got := s.Tolerance(base)
 	if got.Rel != 1e-6 {
 		t.Fatalf("base Rel clobbered: %g", got.Rel)

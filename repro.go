@@ -94,7 +94,7 @@ type Option func(*Options)
 func WithDesign(d Design) Option { return func(o *Options) { o.Design = d } }
 
 // WithShards shards the frame's tile-group scan across n worker
-// goroutines (0 = process default, 1 = serial). Results are byte-identical
+// goroutines (0 = GOMAXPROCS, 1 = serial). Results are byte-identical
 // at any shard count; this is purely a host-speed knob.
 func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
 

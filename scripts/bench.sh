@@ -25,8 +25,10 @@
 #     ns/op(1) / ns/op(N) is the intra-frame fork/join speedup. The ratio
 #     is bounded by the host's core count (a single-core runner measures
 #     ~1x regardless of N).
-#   - BenchmarkFarmSweep{Serial,Parallel,ColdStore,WarmStore}: the
-#     sweep-level numbers (farm scheduling + durable store).
+#   - BenchmarkFig10Sweep{Serial,Parallel,ColdStore,WarmStore}: one fig10
+#     design sweep over the mini set (12 cells) through the registry, on a
+#     private core engine per run: one cell at a time, GOMAXPROCS cells at
+#     once, serial into a fresh store, and serial from a warm store.
 #   - BenchmarkLeaseRoundTrip / BenchmarkDistFarmThroughput: the
 #     distributed numbers. LeaseRoundTrip is the per-job wire-protocol
 #     floor (no-op executor); DistFarmThroughput pushes 8 distinct render
@@ -66,7 +68,7 @@ bench 'Benchmark(AverageChildren|LineTexels)$' 1s ./internal/texture/
 bench 'BenchmarkSynthesize$' 3x ./internal/texture/
 bench 'BenchmarkRenderFrame(Baseline|ATFIM)$' 3x .
 bench 'BenchmarkSimulateShards[128]$' 1x .
-bench 'BenchmarkFarmSweep(Serial|Parallel|ColdStore|WarmStore)$' 1x ./internal/farm/
+bench 'BenchmarkFig10Sweep(Serial|Parallel|ColdStore|WarmStore)$' 1x ./internal/core/
 bench 'BenchmarkLeaseRoundTrip$' 100x ./internal/farm/dist/
 bench 'BenchmarkDistFarmThroughput$' 1x ./cmd/pimfarm/
 bench 'BenchmarkWorkerColdJob$' 20x ./cmd/pimfarm/
