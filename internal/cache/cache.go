@@ -295,8 +295,11 @@ func (c *Cache) Angle(lineIndex int) float32 { return c.lines[lineIndex].angle }
 
 // FlushDirty returns the line addresses of all dirty lines and marks them
 // clean (used at end of frame to drain the write-back caches).
-func (c *Cache) FlushDirty() []uint64 {
-	var out []uint64
+func (c *Cache) FlushDirty() []uint64 { return c.AppendDirty(nil) }
+
+// AppendDirty is FlushDirty appending the addresses to out, so a caller
+// that reuses out allocates nothing once it is grown.
+func (c *Cache) AppendDirty(out []uint64) []uint64 {
 	for i := range c.lines {
 		ln := &c.lines[i]
 		if ln.valid && ln.dirty {

@@ -90,7 +90,9 @@ type Result struct {
 	// Image is the last rendered frame.
 	Image []uint32
 
-	backend mem.Backend
+	// bw is the frame-level backend's bandwidth-utilization histograms at
+	// the end of the run, by meter name (nil when it has none).
+	bw map[string][]float64
 
 	// storedMetrics is the embedded pim-render/metrics/v1 snapshot of a
 	// Result restored from the durable store (which has no live path or
@@ -144,23 +146,27 @@ func buildConfig(opts Options) config.Config {
 	return cfg
 }
 
-// buildDesign constructs the backend and texture path for a configuration.
-func buildDesign(cfg config.Config, cubes int) (mem.Backend, gpu.TexturePath, hmc.Cube) {
-	switch cfg.Design {
-	case config.Baseline:
+// buildBackend constructs a design's memory system; cube is the backend
+// when it is an HMC (nil on GDDR5).
+func buildBackend(cfg config.Config, cubes int) (backend mem.Backend, cube hmc.Cube) {
+	if cfg.Design == config.Baseline {
 		d := dram.DefaultConfig()
 		d.MemClockGHz = cfg.MemClockGHz
-		backend := dram.New(d)
-		return backend, tfim.NewBaselinePath(cfg, backend), nil
-	case config.BPIM:
-		cube := newCube(cfg, cubes)
-		return cube, tfim.NewBaselinePath(cfg, cube), cube
+		return dram.New(d), nil
+	}
+	cube = newCube(cfg, cubes)
+	return cube, cube
+}
+
+// buildPath constructs a design's texture path over its memory system.
+func buildPath(cfg config.Config, backend mem.Backend, cube hmc.Cube) gpu.TexturePath {
+	switch cfg.Design {
+	case config.Baseline, config.BPIM:
+		return tfim.NewBaselinePath(cfg, backend)
 	case config.STFIM:
-		cube := newCube(cfg, cubes)
-		return cube, tfim.NewSTFIMPath(cfg, cube), cube
+		return tfim.NewSTFIMPath(cfg, cube)
 	case config.ATFIM:
-		cube := newCube(cfg, cubes)
-		return cube, tfim.NewATFIMPath(cfg, cube), cube
+		return tfim.NewATFIMPath(cfg, cube)
 	default:
 		panic(fmt.Sprintf("core: unknown design %v", cfg.Design))
 	}
@@ -282,35 +288,30 @@ func RunScene(sc *scene.Scene, wl workload.Workload, opts Options) (*Result, err
 }
 
 func runScene(ctx context.Context, sc *scene.Scene, wl workload.Workload, cfg config.Config, opts Options) (*Result, error) {
-	backend, path, cube := buildDesign(cfg, opts.HMCCubes)
-	pipe := gpu.NewPipeline(cfg, wl.Width, wl.Height, backend, path)
+	e := engineFrom(ctx)
+	key := machineKey{cfg: cfg, cubes: max(opts.HMCCubes, 1), width: wl.Width, height: wl.Height}
+	m := e.machines.get(key)
+	defer e.machines.put(key, m)
+	pipe := m.pipe
 	pipe.Shards = opts.Shards // below 1 runs one worker
 	if pipe.Shards == 0 {
-		pipe.Shards = engineFrom(ctx).shards()
+		pipe.Shards = e.shards()
 	}
-	onProgress, gauges := simTelemetry(cfg.Design)
+	pipe.Progress = m.onProgress
 	if user := opts.Progress; user != nil {
+		onProgress := m.onProgress
 		pipe.Progress = func(pr gpu.Progress) {
 			onProgress(pr)
 			user(pr)
 		}
-	} else {
-		pipe.Progress = onProgress
 	}
-	pipe.NewWorker = func() (mem.Backend, gpu.TexturePath, func() uint64) {
-		wb, wp, wcube := buildDesign(cfg, opts.HMCCubes)
-		var internal func() uint64
-		if wcube != nil {
-			internal = func() uint64 { return wcube.TotalStats().VaultBytes }
-		}
-		return wb, wp, internal
-	}
-	observers := []gpu.Observer{gauges}
+	observers := []gpu.Observer{m.gauges}
 	if opts.Trace != nil {
-		observers = append(observers, gpu.TraceObserver(opts.Trace, backend, path))
+		observers = append(observers, gpu.TraceObserver(opts.Trace, pipe.Backend))
 	}
-	profiler := &gpu.FrameProfiler{}
+	var profiler *gpu.FrameProfiler
 	if opts.Profile != nil {
+		profiler = &gpu.FrameProfiler{}
 		observers = append(observers, profiler)
 	}
 	pipe.Observer = gpu.Observers(observers...)
@@ -341,8 +342,8 @@ func runScene(ctx context.Context, sc *scene.Scene, wl workload.Workload, cfg co
 		// pipeline already merged the worker cubes' internal bytes, the
 		// frame-level cube adds the geometry/resolve share.
 		res.Activity.ExternalBytes = res.Traffic.Total()
-		if cube != nil {
-			res.Activity.InternalBytes += cube.TotalStats().VaultBytes
+		if m.cube != nil {
+			res.Activity.InternalBytes += m.cube.TotalStats().VaultBytes
 		}
 		if acc == nil {
 			acc = res
@@ -367,6 +368,12 @@ func runScene(ctx context.Context, sc *scene.Scene, wl workload.Workload, cfg co
 		}
 	}
 
+	// The last frame's bandwidth histograms, read before the machine goes
+	// back to the pool.
+	var bw map[string][]float64
+	if hs, ok := pipe.Backend.(obs.HistogramSource); ok {
+		bw = hs.UtilizationHistograms(metricsHistogramBins)
+	}
 	return &Result{
 		Workload: wl,
 		Design:   cfg.Design,
@@ -374,6 +381,6 @@ func runScene(ctx context.Context, sc *scene.Scene, wl workload.Workload, cfg co
 		Frame:    acc,
 		Energy:   bd,
 		Image:    acc.Image,
-		backend:  backend,
+		bw:       bw,
 	}, nil
 }

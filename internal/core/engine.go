@@ -19,17 +19,20 @@ type EngineConfig struct {
 
 // Engine owns the state runs share: its configuration, which never changes
 // after NewEngine, the run cache (Figs 10-13 share one sweep; Figs 14-16
-// share the threshold sweep) and the sweep counters. The cache is an LRU
+// share the threshold sweep), the sweep counters and the idle simulated
+// machines runs borrow (machinePool). The cache is an LRU
 // of DefaultRunCacheCap entries, and its flight group collapses concurrent
 // computations of one key into one simulation. Core finds the engine on
 // the context (WithEngine); a context without one runs on a default engine
 // with no store and GOMAXPROCS widths.
 type Engine struct {
-	cfg    EngineConfig
-	cache  *lru.Cache[*Result]
-	flight flight.Group[*Result]
-	cells  atomic.Uint64
-	busyNs atomic.Int64
+	cfg      EngineConfig
+	cache    *lru.Cache[*Result]
+	flight   flight.Group[*Result]
+	machines machinePool
+	cells    atomic.Uint64
+	busyNs   atomic.Int64
+	span     sweepSpan
 }
 
 // NewEngine builds an engine with an empty run cache.

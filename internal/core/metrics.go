@@ -11,7 +11,7 @@ import (
 // by `pimsim -json`. Counters cover traffic (per class and direction),
 // pipeline activity and per-cache statistics; gauges cover energy, rates and
 // latencies; histograms carry the memory backend's bandwidth-utilization
-// profile when the backend exposes one.
+// profile when the backend exposes one, as the run left it.
 func (r *Result) Metrics() *obs.Snapshot {
 	// A result restored from the durable store carries the snapshot its
 	// original run produced (including backend histograms no restored
@@ -91,11 +91,9 @@ func (r *Result) Metrics() *obs.Snapshot {
 	s.Gauge("latency.tex_mem_cycles_per_req", perReq(p.MemCycles, p.TexRequests))
 	s.Gauge("texpath.busy_cycles", p.BusyCycles)
 
-	// Bandwidth-utilization histograms from the backend, when available.
-	if hs, ok := r.backend.(obs.HistogramSource); ok {
-		for name, bins := range hs.UtilizationHistograms(metricsHistogramBins) {
-			s.Histogram("bw."+name, bins)
-		}
+	// Bandwidth-utilization histograms snapshotted at the end of the run.
+	for name, bins := range r.bw {
+		s.Histogram("bw."+name, bins)
 	}
 	return s
 }

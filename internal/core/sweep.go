@@ -25,6 +25,46 @@ type SweepStats struct {
 	// CellTime sums those cells' wall times: what running them one after
 	// another would have taken.
 	CellTime time.Duration
+	// Span is the wall time during which at least one fan-out ran, so
+	// CellTime/Span is the speedup the fan-out delivered.
+	Span time.Duration
+}
+
+// sweepSpan measures the wall time covered by an engine's fan-outs:
+// overlapping fan-outs count once.
+type sweepSpan struct {
+	mu     sync.Mutex
+	active int
+	start  time.Time
+	total  time.Duration
+}
+
+func (s *sweepSpan) begin() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.active == 0 {
+		s.start = time.Now()
+	}
+	s.active++
+}
+
+func (s *sweepSpan) end() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.active--
+	if s.active == 0 {
+		s.total += time.Since(s.start)
+	}
+}
+
+// covered returns the finished fan-outs' span plus the running one's so far.
+func (s *sweepSpan) covered() time.Duration {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.active > 0 {
+		return s.total + time.Since(s.start)
+	}
+	return s.total
 }
 
 // SweepCounters snapshots e's sweep activity (paperbench's sweep: line).
@@ -33,6 +73,7 @@ func (e *Engine) SweepCounters() SweepStats {
 		Workers:  e.sweepWidth(),
 		Cells:    e.cells.Load(),
 		CellTime: time.Duration(e.busyNs.Load()),
+		Span:     e.span.covered(),
 	}
 }
 
@@ -55,6 +96,8 @@ func Prefetch(ctx context.Context, specs []RunSpec) error {
 		return nil
 	}
 	e := engineFrom(ctx)
+	e.span.begin()
+	defer e.span.end()
 	errs := make([]error, len(specs))
 	var next atomic.Int64
 	var wg sync.WaitGroup

@@ -57,9 +57,11 @@ func TestPrefetchBoundsAndDedups(t *testing.T) {
 		}
 	}
 	before := e.SweepCounters()
+	start := time.Now()
 	if err := Prefetch(WithEngine(context.Background(), e), specs); err != nil {
 		t.Fatal(err)
 	}
+	wall := time.Since(start)
 	if peak != 2 {
 		t.Errorf("peak concurrent simulations = %d, want 2", peak)
 	}
@@ -74,5 +76,11 @@ func TestPrefetchBoundsAndDedups(t *testing.T) {
 	}
 	if after.Workers != 2 || after.CellTime <= before.CellTime {
 		t.Errorf("sweep counters = %+v (before %+v)", after, before)
+	}
+	// The fan-out's span lies inside the call, and two workers cannot
+	// spend more than twice the span in cells.
+	span, cellTime := after.Span-before.Span, after.CellTime-before.CellTime
+	if span <= 0 || span > wall || cellTime > 2*span {
+		t.Errorf("sweep span %v for %v of cell time over a %v call", span, cellTime, wall)
 	}
 }

@@ -132,7 +132,6 @@ type GDDR5 struct {
 	stats     Stats
 	cyclesPer float64 // GPU cycles per memory cycle
 	busyMax   int64
-	tracer    *obs.Tracer
 }
 
 // New builds a GDDR5 backend; panics on invalid configuration.
@@ -141,6 +140,12 @@ func New(cfg Config) *GDDR5 {
 		panic(err)
 	}
 	g := &GDDR5{cfg: cfg, cyclesPer: cfg.GPUClockGHz / cfg.MemClockGHz}
+	perChannelBPC := float64(cfg.LineBytes) / (float64(cfg.Timing.TBurst) * g.cyclesPer)
+	g.chans = make([]channel, cfg.Channels)
+	for i := range g.chans {
+		g.chans[i].banks = make([]bank, cfg.BanksPerChannel)
+		g.chans[i].bus = sim.NewBandwidthMeter(32, perChannelBPC)
+	}
 	g.Reset()
 	return g
 }
@@ -157,36 +162,31 @@ func (g *GDDR5) PeakBandwidth() float64 {
 // BusyUntil implements mem.Backend.
 func (g *GDDR5) BusyUntil() int64 { return g.busyMax }
 
-// Reset implements mem.Backend.
+// Reset implements mem.Backend. It clears the channels in place, keeping
+// the meters' window storage and any attached tracer, so a reset backend
+// allocates nothing and behaves exactly like a freshly built one.
 func (g *GDDR5) Reset() {
-	perChannelBPC := float64(g.cfg.LineBytes) / (float64(g.cfg.Timing.TBurst) * g.cyclesPer)
-	g.chans = make([]channel, g.cfg.Channels)
 	for i := range g.chans {
-		g.chans[i].banks = make([]bank, g.cfg.BanksPerChannel)
-		for b := range g.chans[i].banks {
-			g.chans[i].banks[b].openRow = -1
+		ch := &g.chans[i]
+		for b := range ch.banks {
+			ch.banks[b] = bank{openRow: -1}
 		}
-		g.chans[i].bus = sim.NewBandwidthMeter(32, perChannelBPC)
+		ch.bus.Reset()
 	}
 	g.stats = Stats{}
 	g.busyMax = 0
-	g.attachMeterTraces()
 }
 
 // SetTracer routes channel data-bus reservations into the tracer as cycle
-// spans (one track per channel). Implements obs.TraceAttacher; survives
-// Reset.
+// spans (one track per channel); nil detaches. Implements
+// obs.TraceAttacher; survives Reset.
 func (g *GDDR5) SetTracer(t *obs.Tracer) {
-	g.tracer = t
-	g.attachMeterTraces()
-}
-
-func (g *GDDR5) attachMeterTraces() {
-	if g.tracer == nil {
-		return
-	}
 	for i := range g.chans {
-		g.chans[i].bus.AttachTrace(g.tracer, fmt.Sprintf("dram.ch%02d.bus", i))
+		name := ""
+		if t != nil {
+			name = fmt.Sprintf("dram.ch%02d.bus", i)
+		}
+		g.chans[i].bus.AttachTrace(t, name)
 	}
 }
 

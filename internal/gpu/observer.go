@@ -22,7 +22,9 @@ type Observer interface {
 	// Worker is called once per shard worker and frame, on the worker's
 	// goroutine, with its private backend and texture path. It returns the
 	// observer for the worker's groups, or nil when it captures nothing
-	// there. Calls for different workers may run concurrently.
+	// there. Calls for different workers may run concurrently. A tracer it
+	// attaches to the worker's units is detached when the worker's part of
+	// the frame ends: workers outlive frames.
 	Worker(backend mem.Backend, path TexturePath) WorkerObserver
 	// Group is called for every group in fixed group order during the
 	// merge, with the group's span and counters on the frame timeline and
@@ -56,9 +58,8 @@ type FrameEnd struct {
 	// GPU<->memory traffic, groups included.
 	Fragments uint64
 	Traffic   mem.Traffic
-	// Backend and Path are the frame-level units (geometry and resolve).
+	// Backend is the frame-level memory backend (geometry and resolve).
 	Backend mem.Backend
-	Path    TexturePath
 }
 
 // FrameEndFunc adapts a function to an Observer that watches frame ends
@@ -129,12 +130,12 @@ func (m multiWorker) GroupEnd() any {
 const workerTraceCap = 1 << 15
 
 // TraceObserver records every frame's cycle timeline into t: spans from
-// the frame-level backend and path (attached here), each group's tile,
-// unit and memory spans rebased from its worker's private ring onto the
-// frame timeline at merge, one span per group, and the stage and frame
-// spans at frame end.
-func TraceObserver(t *obs.Tracer, backend mem.Backend, path TexturePath) Observer {
-	attachTracer(t, backend, path)
+// the frame-level backend (attached here; Pipeline.Detach detaches it),
+// each group's tile, unit and memory spans rebased from its worker's
+// private ring onto the frame timeline at merge, one span per group, and
+// the stage and frame spans at frame end.
+func TraceObserver(t *obs.Tracer, backend mem.Backend) Observer {
+	attachTracer(t, backend, nil)
 	return traceObserver{t}
 }
 

@@ -33,16 +33,23 @@ const (
 // Pipeline renders scenes under one design configuration.
 //
 // The frame is a fork/join machine: geometry, triangle setup, and binning
-// run serially on the frame-level Backend/Path; the fragment stage is a
-// fixed list of 64x64-pixel tile groups, each simulated hermetically on a
+// run serially on the frame-level Backend; the fragment stage is a fixed
+// list of 64x64-pixel tile groups, each simulated hermetically on a
 // worker's private backend/path/caches, merged back in fixed group order.
 // Shards picks the goroutine count; NewWorker supplies each worker's
 // private memory system. The rendered image, every counter and everything
 // an Observer builds are byte-identical at any shard count.
+//
+// A pipeline keeps its workers and its per-frame scratch across frames,
+// and every unit resets at frame (and tile-group) start, so a pipeline
+// reused for another run renders exactly what a fresh one would; Detach
+// drops what a run attached before the pipeline is reused.
 type Pipeline struct {
 	Cfg     config.Config
 	Backend mem.Backend
-	Path    TexturePath
+	// Path is the frame-level texture path, or nil: the frame-level
+	// stages never sample, so it is only reset with the frame.
+	Path TexturePath
 
 	// Shards is the number of worker goroutines draining the group list
 	// (<=1 means one). It never changes simulated results.
@@ -55,7 +62,9 @@ type Pipeline struct {
 	Progress func(Progress)
 	// NewWorker builds a private (backend, path, internal-byte counter)
 	// triple for one worker. The counter may be nil (no internal memory).
-	// It is required: every group runs on a worker's private units.
+	// It is required: every group runs on a worker's private units. It is
+	// called when a frame needs more workers than the pipeline has built;
+	// workers are kept for later frames.
 	NewWorker func() (mem.Backend, TexturePath, func() uint64)
 	// Observer, when set, watches every frame at points whose order is
 	// fixed (see Observer). It never changes simulated results.
@@ -66,6 +75,16 @@ type Pipeline struct {
 	vs      *shader.Program
 	fs      *shader.Program
 	machine shader.Machine // vertex-stage machine (fragment machines live in workers)
+	workers []*shardWorker
+
+	// Per-frame scratch, reused by every frame: transformed vertices,
+	// setup triangles, one triangle's tiles, per-group work bins and the
+	// non-empty groups.
+	verts  []raster.Vertex
+	sts    []raster.SetupTriangle
+	tiles  []raster.Tile
+	bins   [][]workItem
+	groups []tileGroup
 
 	traffic  mem.Traffic
 	activity Activity
@@ -78,7 +97,8 @@ type Pipeline struct {
 }
 
 // NewPipeline builds a pipeline for a WxH target. Backend and Path are
-// created by the caller (internal/core wires the design together).
+// created by the caller (internal/core wires the design together); Path
+// may be nil.
 func NewPipeline(cfg config.Config, w, h int, backend mem.Backend, path TexturePath) *Pipeline {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -123,7 +143,9 @@ func (p *Pipeline) RenderFrameContext(ctx context.Context, s *scene.Scene, frame
 	p.rast.ResetHiZ()
 	p.rast.ResetStats()
 	p.Backend.Reset()
-	p.Path.Reset()
+	if p.Path != nil {
+		p.Path.Reset()
+	}
 	p.traffic = mem.Traffic{}
 	p.activity = Activity{}
 	p.machine = shader.Machine{}
@@ -139,7 +161,11 @@ func (p *Pipeline) RenderFrameContext(ctx context.Context, s *scene.Scene, frame
 	})
 	// Light direction in eye space for the fragment program.
 	ld := view.MulVec(vmath.Vec4{X: s.LightDir.X, Y: s.LightDir.Y, Z: s.LightDir.Z, W: 0})
-	p.fs = shader.NewFragmentProgram(shader.Vec{ld.X, ld.Y, ld.Z, 0}, s.Ambient)
+	if p.fs == nil {
+		p.fs = shader.NewFragmentProgram(shader.Vec{ld.X, ld.Y, ld.Z, 0}, s.Ambient)
+	} else {
+		shader.SetLighting(p.fs, shader.Vec{ld.X, ld.Y, ld.Z, 0}, s.Ambient)
+	}
 
 	// --- Geometry stage (serial, frame-level backend) ---
 	p.report(Progress{Frame: frame, Stage: StageGeometry})
@@ -213,7 +239,7 @@ func (p *Pipeline) RenderFrameContext(ctx context.Context, s *scene.Scene, frame
 			Frame: frame, Width: p.fb.W, Height: p.fb.H,
 			GeometryEnd: geomDone, SetupEnd: fragBase, FragmentEnd: endCompute,
 			ResolveEnd: resolveDone, Cycles: total, Fragments: p.activity.FragmentCount,
-			Traffic: p.traffic, Backend: p.Backend, Path: p.Path,
+			Traffic: p.traffic, Backend: p.Backend,
 		})
 	}
 
@@ -233,6 +259,17 @@ func (p *Pipeline) RenderFrameContext(ctx context.Context, s *scene.Scene, frame
 	copy(res.Image, p.fb.Color)
 	p.report(Progress{Frame: frame, Stage: StageDone, GroupsDone: len(groups), GroupsTotal: len(groups), Cycles: total})
 	return res, nil
+}
+
+// Detach drops what a run attached to the pipeline — its Observer,
+// Progress callback and scene — and detaches any tracer from the
+// frame-level units, so a pipeline kept for reuse holds nothing of the run
+// that used it last. Workers detach at the end of every frame.
+func (p *Pipeline) Detach() {
+	p.Observer = nil
+	p.Progress = nil
+	p.scene = nil
+	attachTracer(nil, p.Backend, p.Path)
 }
 
 func vecOf(v vmath.Vec4) shader.Vec { return shader.Vec{v.X, v.Y, v.Z, v.W} }
@@ -277,7 +314,10 @@ func (p *Pipeline) runGeometry(s *scene.Scene, view vmath.Mat4) int64 {
 // clip-space raster vertices. Normals are taken to eye space for the
 // camera-angle computation.
 func (p *Pipeline) transformVertices(s *scene.Scene, view vmath.Mat4) []raster.Vertex {
-	out := make([]raster.Vertex, len(s.Mesh.Vertices))
+	if cap(p.verts) < len(s.Mesh.Vertices) {
+		p.verts = make([]raster.Vertex, len(s.Mesh.Vertices))
+	}
+	out := p.verts[:len(s.Mesh.Vertices)]
 	for i, v := range s.Mesh.Vertices {
 		p.machine.SetInput(0, shader.Vec{v.Pos.X, v.Pos.Y, v.Pos.Z, 1})
 		p.machine.SetInput(1, shader.Vec{v.UV.X, v.UV.Y, 0, 0})

@@ -318,3 +318,72 @@ func TestObserverSeesFixedOrder(t *testing.T) {
 			next, frags, f.FragmentEnd, f.Fragments)
 	}
 }
+
+// attachRecorder is a worker backend that remembers the tracer last
+// attached to it.
+type attachRecorder struct {
+	*dram.GDDR5
+	tracer *obs.Tracer
+	calls  int
+}
+
+func (a *attachRecorder) SetTracer(t *obs.Tracer) {
+	a.tracer = t
+	a.calls++
+	a.GDDR5.SetTracer(t)
+}
+
+// TestWorkersOutliveFrames renders three frames on one pipeline without a
+// frame-level texture path: the first traced, the others not. Workers are
+// built once and kept; each traced frame attaches a tracer to every worker
+// backend and detaches it when the frame ends, and Detach detaches the
+// frame-level backend.
+func TestWorkersOutliveFrames(t *testing.T) {
+	cfg := config.Default(config.Baseline)
+	frameBackend := &attachRecorder{GDDR5: dram.New(dram.DefaultConfig())}
+	p := NewPipeline(cfg, 160, 120, frameBackend, nil)
+	p.Shards = 2
+	var (
+		mu      sync.Mutex
+		workers []*attachRecorder
+	)
+	p.NewWorker = func() (mem.Backend, TexturePath, func() uint64) {
+		b := &attachRecorder{GDDR5: dram.New(dram.DefaultConfig())}
+		mu.Lock()
+		workers = append(workers, b)
+		mu.Unlock()
+		return b, &nullPath{}, nil
+	}
+	sc := testScene()
+	tr := obs.NewTracer(0)
+	p.Observer = TraceObserver(tr, p.Backend)
+	first, err := p.RenderFrame(sc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(workers) != 2 {
+		t.Fatalf("built %d workers for 2 shards", len(workers))
+	}
+	for i, w := range workers {
+		if w.calls != 2 || w.tracer != nil {
+			t.Fatalf("worker %d: %d tracer attachments, tracer %p after the frame; want attach then detach", i, w.calls, w.tracer)
+		}
+	}
+	p.Detach()
+	if frameBackend.tracer != nil {
+		t.Fatal("Detach left the tracer on the frame-level backend")
+	}
+	events := tr.Len()
+	for f := 0; f < 2; f++ {
+		res, err := p.RenderFrame(sc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cycles != first.Cycles || res.Activity != first.Activity {
+			t.Fatalf("frame %d on kept workers differs from the first", f+2)
+		}
+	}
+	if len(workers) != 2 || tr.Len() != events {
+		t.Fatalf("later frames built %d workers and added %d trace events", len(workers)-2, tr.Len()-events)
+	}
+}

@@ -48,10 +48,6 @@ func (fp *FrameProfiler) Group(g obs.GroupProfile, captured any) {
 // timeline and appends the finished anatomy.
 func (fp *FrameProfiler) FrameEnd(f FrameEnd) {
 	fp.addSource(0, captureBackend(f.Backend, obs.DefaultTimelineBuckets))
-	traffic := f.Traffic
-	if ts, ok := f.Path.(TrafficSource); ok {
-		traffic.Add(ts.Traffic())
-	}
 	fp.frames = append(fp.frames, obs.FrameAnatomy{
 		Frame:   f.Frame,
 		Width:   f.Width,
@@ -66,7 +62,7 @@ func (fp *FrameProfiler) FrameEnd(f FrameEnd) {
 		},
 		Timelines:    obs.MergeTimelines(fp.sources, f.Cycles, obs.DefaultTimelineBuckets),
 		Groups:       fp.groups,
-		TrafficBytes: trafficBytes(&traffic),
+		TrafficBytes: trafficBytes(&f.Traffic),
 	})
 	fp.sources = fp.sources[:0]
 	fp.groups = nil

@@ -88,6 +88,9 @@ type shardWorker struct {
 	curDone    int64
 	curNow     int64
 	curCluster int
+	// texFn is texSample bound once, so a group reset does not allocate
+	// a method value.
+	texFn shader.TexSampleFunc
 	// req is texSample's request, kept on the worker so it does not
 	// escape to the heap; no path keeps the pointer past Sample.
 	req TexRequest
@@ -95,6 +98,8 @@ type shardWorker struct {
 	// observer watches this worker's groups; nil when the frame's
 	// Observer captures nothing per worker.
 	observer WorkerObserver
+	// dirty is flushROPCaches' scratch.
+	dirty []uint64
 }
 
 // newShardWorker builds a worker around its private backend/path pair.
@@ -123,10 +128,20 @@ func newShardWorker(p *Pipeline, backend mem.Backend, path TexturePath, internal
 		w.inflight[i] = make([]int64, maxInflightPerCluster)
 	}
 	w.inflHead = make([]int, n)
-	if p.Observer != nil {
-		w.observer = p.Observer.Worker(backend, path)
-	}
+	w.texFn = w.texSample
 	return w
+}
+
+// observe attaches the frame's observer to the worker. A nil o ends the
+// frame's observation: it drops the worker observer and detaches any
+// tracer the observer attached to the worker's units.
+func (w *shardWorker) observe(o Observer) {
+	if o != nil {
+		w.observer = o.Worker(w.backend, w.path)
+		return
+	}
+	w.observer = nil
+	attachTracer(nil, w.backend, w.path)
 }
 
 // resetForGroup restores the worker to its initial state so the next group
@@ -149,8 +164,7 @@ func (w *shardWorker) resetForGroup() {
 	}
 	w.traffic = mem.Traffic{}
 	w.activity = Activity{}
-	w.machine = shader.Machine{}
-	w.machine.TexSample = w.texSample
+	w.machine = shader.Machine{TexSample: w.texFn}
 }
 
 // runGroup simulates one tile group from local cycle zero and captures its
@@ -343,14 +357,16 @@ func (w *shardWorker) writeback(addr uint64, class mem.Class, now int64) {
 // flushROPCaches drains dirty Z/color lines at group end.
 func (w *shardWorker) flushROPCaches(now int64) int64 {
 	end := now
-	for _, addr := range w.zCache.FlushDirty() {
+	w.dirty = w.zCache.AppendDirty(w.dirty[:0])
+	for _, addr := range w.dirty {
 		done := w.backend.Access(now, mem.Request{Addr: addr, Size: mem.LineSize, Class: mem.ClassZ, Kind: mem.Write})
 		w.traffic.Record(mem.ClassZ, mem.Write, mem.LineSize+mem.RequestOverheadBytes)
 		if done > end {
 			end = done
 		}
 	}
-	for _, addr := range w.colorCache.FlushDirty() {
+	w.dirty = w.colorCache.AppendDirty(w.dirty[:0])
+	for _, addr := range w.dirty {
 		done := w.backend.Access(now, mem.Request{Addr: addr, Size: mem.LineSize, Class: mem.ClassColor, Kind: mem.Write})
 		w.traffic.Record(mem.ClassColor, mem.Write, mem.LineSize+mem.RequestOverheadBytes)
 		if done > end {
@@ -371,20 +387,27 @@ func (p *Pipeline) binTriangles(s *scene.Scene, verts []raster.Vertex) (int64, [
 
 	groupsX := (p.fb.W + groupPx - 1) / groupPx
 	groupsY := (p.fb.H + groupPx - 1) / groupPx
-	bins := make([][]workItem, groupsX*groupsY)
-	var sts []raster.SetupTriangle
+	if len(p.bins) != groupsX*groupsY {
+		p.bins = make([][]workItem, groupsX*groupsY)
+	}
+	bins := p.bins
+	for g := range bins {
+		bins[g] = bins[g][:0]
+	}
+	sts := p.sts[:0]
 	for _, tri := range s.Mesh.Triangles {
 		tv := [3]raster.Vertex{verts[tri.V[0]], verts[tri.V[1]], verts[tri.V[2]]}
-		for _, st := range p.rast.Setup(tv, tri.TexID) {
-			stIdx := int32(len(sts))
-			sts = append(sts, st)
-			for _, tile := range st.Tiles() {
+		first := len(sts)
+		sts = p.rast.AppendSetup(sts, tv, tri.TexID)
+		for stIdx := first; stIdx < len(sts); stIdx++ {
+			p.tiles = sts[stIdx].AppendTiles(p.tiles[:0])
+			for _, tile := range p.tiles {
 				g := (tile.Y0/groupPx)*groupsX + tile.X0/groupPx
-				bins[g] = append(bins[g], workItem{st: stIdx, tile: tile})
+				bins[g] = append(bins[g], workItem{st: int32(stIdx), tile: tile})
 			}
 		}
 	}
-	groups := make([]tileGroup, 0, len(bins))
+	groups := p.groups[:0]
 	for g, b := range bins {
 		if len(b) > 0 {
 			groups = append(groups, tileGroup{
@@ -394,14 +417,17 @@ func (p *Pipeline) binTriangles(s *scene.Scene, verts []raster.Vertex) (int64, [
 			})
 		}
 	}
+	p.sts, p.groups = sts, groups
 	return setupCycles, sts, groups
 }
 
 // runGroups drains the fixed group list with p.Shards worker goroutines,
-// each on private units from p.NewWorker, and returns per-group results
-// indexed in group order. Cancellation is observed at group boundaries.
-// onGroup, when non-nil, is called with each group's duration as it
-// completes (from worker goroutines); it must not touch simulator state.
+// each on the private units of one of the pipeline's workers (built by
+// p.NewWorker when the pipeline has fewer), and returns per-group results
+// indexed in group order. The workers observe only for this frame.
+// Cancellation is observed at group boundaries. onGroup, when non-nil, is
+// called with each group's duration as it completes (from worker
+// goroutines); it must not touch simulator state.
 func (p *Pipeline) runGroups(ctx context.Context, sts []raster.SetupTriangle, groups []tileGroup, onGroup func(int64)) ([]groupResult, error) {
 	results := make([]groupResult, len(groups))
 	shards := p.Shards
@@ -411,14 +437,28 @@ func (p *Pipeline) runGroups(ctx context.Context, sts []raster.SetupTriangle, gr
 	if shards > len(groups) {
 		shards = len(groups)
 	}
+	if len(p.workers) < shards {
+		p.workers = append(p.workers, make([]*shardWorker, shards-len(p.workers))...)
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
+	for i := range shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			backend, path, internalBytes := p.NewWorker()
-			w := newShardWorker(p, backend, path, internalBytes)
+			// A worker is built on the goroutine that first drains groups
+			// with it, so its units come from that goroutine's allocation
+			// cache rather than sharing cache lines with another worker's.
+			w := p.workers[i]
+			if w == nil {
+				backend, path, internalBytes := p.NewWorker()
+				w = newShardWorker(p, backend, path, internalBytes)
+				p.workers[i] = w
+			}
+			if p.Observer != nil {
+				w.observe(p.Observer)
+				defer w.observe(nil)
+			}
 			for {
 				if ctx.Err() != nil {
 					return

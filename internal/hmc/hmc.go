@@ -146,7 +146,6 @@ type HMC struct {
 	tsvBPC    float64 // bytes per GPU cycle per vault
 	busyMax   int64
 
-	tracer      *obs.Tracer
 	tracePrefix string // distinguishes cubes within an Array
 }
 
@@ -161,6 +160,13 @@ func New(cfg Config) *HMC {
 	// HMC 2.0 spec is per-direction at full width).
 	h.linkBPC = cfg.ExternalGBs / cfg.GPUClockGHz
 	h.tsvBPC = cfg.InternalGBs / float64(cfg.Vaults) / cfg.GPUClockGHz
+	h.vaults = make([]vault, cfg.Vaults)
+	for i := range h.vaults {
+		h.vaults[i].banks = make([]vaultBank, cfg.BanksPerVault)
+		h.vaults[i].tsv = sim.NewBandwidthMeter(32, h.tsvBPC)
+	}
+	h.linkTx = sim.NewBandwidthMeter(32, h.linkBPC)
+	h.linkRx = sim.NewBandwidthMeter(32, h.linkBPC)
 	h.Reset()
 	return h
 }
@@ -181,43 +187,46 @@ func (h *HMC) InternalPeakBandwidth() float64 {
 // BusyUntil implements mem.Backend.
 func (h *HMC) BusyUntil() int64 { return h.busyMax }
 
-// Reset implements mem.Backend.
+// Reset implements mem.Backend. It clears the cube in place, keeping the
+// meters' window storage and any attached tracer, so a reset cube
+// allocates nothing and behaves exactly like a freshly built one.
 func (h *HMC) Reset() {
-	h.vaults = make([]vault, h.cfg.Vaults)
 	for i := range h.vaults {
-		h.vaults[i].banks = make([]vaultBank, h.cfg.BanksPerVault)
-		for b := range h.vaults[i].banks {
-			h.vaults[i].banks[b].openRow = -1
+		v := &h.vaults[i]
+		for b := range v.banks {
+			v.banks[b] = vaultBank{openRow: -1}
 		}
-		h.vaults[i].tsv = sim.NewBandwidthMeter(32, h.tsvBPC)
+		v.tsv.Reset()
 	}
-	h.linkTx = sim.NewBandwidthMeter(32, h.linkBPC)
-	h.linkRx = sim.NewBandwidthMeter(32, h.linkBPC)
+	h.linkTx.Reset()
+	h.linkRx.Reset()
 	h.stats = Stats{}
 	h.busyMax = 0
-	h.attachMeterTraces()
 }
 
 // SetTracer routes link and vault-TSV reservations into the tracer as
-// cycle spans. Implements obs.TraceAttacher; survives Reset.
+// cycle spans; nil detaches. Implements obs.TraceAttacher; survives Reset.
 func (h *HMC) SetTracer(t *obs.Tracer) { h.SetTrace(t, "") }
 
 // SetTrace attaches a tracer with a track prefix ("cube0." etc.) so cubes
 // in an Array keep distinct timeline rows.
 func (h *HMC) SetTrace(t *obs.Tracer, prefix string) {
-	h.tracer = t
 	h.tracePrefix = prefix
-	h.attachMeterTraces()
-}
-
-func (h *HMC) attachMeterTraces() {
-	if h.tracer == nil {
-		return
+	// A nil tracer detaches every meter without building track names.
+	track := func(name string) string {
+		if t == nil {
+			return ""
+		}
+		return prefix + name
 	}
-	h.linkTx.AttachTrace(h.tracer, h.tracePrefix+"hmc.link.tx")
-	h.linkRx.AttachTrace(h.tracer, h.tracePrefix+"hmc.link.rx")
+	h.linkTx.AttachTrace(t, track("hmc.link.tx"))
+	h.linkRx.AttachTrace(t, track("hmc.link.rx"))
 	for i := range h.vaults {
-		h.vaults[i].tsv.AttachTrace(h.tracer, fmt.Sprintf("%shmc.vault%02d.tsv", h.tracePrefix, i))
+		name := ""
+		if t != nil {
+			name = fmt.Sprintf("%shmc.vault%02d.tsv", prefix, i)
+		}
+		h.vaults[i].tsv.AttachTrace(t, name)
 	}
 }
 

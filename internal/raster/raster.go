@@ -94,6 +94,9 @@ type Rasterizer struct {
 	tw    int
 	th    int
 	stats Stats
+	// frag is ScanTile's fragment, kept on the rasterizer so it does not
+	// escape to the heap on every call; emit must not keep the pointer.
+	frag Fragment
 }
 
 // New creates a rasterizer for a WxH target.
@@ -141,25 +144,29 @@ func (r *Rasterizer) UpdateHiZ(tile Tile, maxDepth float32) {
 }
 
 // clipNear clips a triangle against the near plane (w >= wEps) in clip
-// space, returning 0, 1 or 2 triangles. The clip distance is kept well
-// above zero so post-divide screen coordinates stay in a numerically
-// stable range (it sits closer than any camera near plane in use).
-func clipNear(v [3]Vertex) [][3]Vertex {
+// space into out, returning how many triangles (0, 1 or 2) it wrote. The
+// clip distance is kept well above zero so post-divide screen coordinates
+// stay in a numerically stable range (it sits closer than any camera near
+// plane in use).
+func clipNear(v [3]Vertex, out *[2][3]Vertex) int {
 	const wEps = 0.05
-	inside := func(p Vertex) bool { return p.Pos.W >= wEps }
-	var in, out []Vertex
+	var in, outside [3]Vertex
+	nIn, nOut := 0, 0
 	for _, p := range v {
-		if inside(p) {
-			in = append(in, p)
+		if p.Pos.W >= wEps {
+			in[nIn] = p
+			nIn++
 		} else {
-			out = append(out, p)
+			outside[nOut] = p
+			nOut++
 		}
 	}
-	switch len(in) {
+	switch nIn {
 	case 3:
-		return [][3]Vertex{v}
+		out[0] = v
+		return 1
 	case 0:
-		return nil
+		return 0
 	}
 	lerpV := func(a, b Vertex) Vertex {
 		t := (wEps - a.Pos.W) / (b.Pos.W - a.Pos.W)
@@ -170,17 +177,18 @@ func clipNear(v [3]Vertex) [][3]Vertex {
 			Normal: a.Normal.Add(b.Normal.Sub(a.Normal).Scale(t)),
 		}
 	}
-	if len(in) == 1 {
+	if nIn == 1 {
 		a := in[0]
-		b := lerpV(a, out[0])
-		c := lerpV(a, out[1])
-		return [][3]Vertex{{a, b, c}}
+		out[0] = [3]Vertex{a, lerpV(a, outside[0]), lerpV(a, outside[1])}
+		return 1
 	}
 	// Two inside: quad -> two triangles.
 	a, b := in[0], in[1]
-	c := lerpV(a, out[0])
-	d := lerpV(b, out[0])
-	return [][3]Vertex{{a, b, c}, {b, d, c}}
+	c := lerpV(a, outside[0])
+	d := lerpV(b, outside[0])
+	out[0] = [3]Vertex{a, b, c}
+	out[1] = [3]Vertex{b, d, c}
+	return 2
 }
 
 // screenVertex is a post-divide vertex with perspective-correct setup data.
@@ -209,24 +217,30 @@ type SetupTriangle struct {
 // Setup performs clipping, perspective divide, viewport mapping, back-face
 // culling and gradient setup. It returns zero or more scan-ready triangles.
 func (r *Rasterizer) Setup(v [3]Vertex, texID int) []SetupTriangle {
+	return r.AppendSetup(nil, v, texID)
+}
+
+// AppendSetup is Setup appending the scan-ready triangles to dst, so a
+// caller that reuses dst across frames allocates nothing once it is grown.
+func (r *Rasterizer) AppendSetup(dst []SetupTriangle, v [3]Vertex, texID int) []SetupTriangle {
 	r.stats.Triangles++
-	tris := clipNear(v)
-	if len(tris) == 0 {
+	var tris [2][3]Vertex
+	n := clipNear(v, &tris)
+	if n == 0 {
 		r.stats.Culled++
-		return nil
+		return dst
 	}
-	if len(tris) > 1 || tris[0] != v {
+	if n > 1 || tris[0] != v {
 		r.stats.Clipped++
 	}
-	var out []SetupTriangle
-	for _, t := range tris {
+	for _, t := range tris[:n] {
 		if st, ok := r.setupOne(t, texID); ok {
-			out = append(out, st)
+			dst = append(dst, st)
 		} else {
 			r.stats.Culled++
 		}
 	}
-	return out
+	return dst
 }
 
 func (r *Rasterizer) setupOne(t [3]Vertex, texID int) (SetupTriangle, bool) {
@@ -304,8 +318,10 @@ func max3(a, b, c float32) float32 { return vmath.Max(a, vmath.Max(b, c)) }
 
 // Tiles returns the screen tiles the triangle's bounding box touches, in
 // row-major (scanning) order.
-func (st *SetupTriangle) Tiles() []Tile {
-	var tiles []Tile
+func (st *SetupTriangle) Tiles() []Tile { return st.AppendTiles(nil) }
+
+// AppendTiles is Tiles appending to tiles.
+func (st *SetupTriangle) AppendTiles(tiles []Tile) []Tile {
 	for ty := st.minY / TileSize; ty <= st.maxY/TileSize; ty++ {
 		for tx := st.minX / TileSize; tx <= st.maxX/TileSize; tx++ {
 			tiles = append(tiles, Tile{X0: tx * TileSize, Y0: ty * TileSize})
@@ -315,7 +331,8 @@ func (st *SetupTriangle) Tiles() []Tile {
 }
 
 // ScanTile rasterizes the triangle within one tile, invoking emit for every
-// covered (and early-Z surviving) fragment. It returns the number of
+// covered (and early-Z surviving) fragment. The fragment is reused for the
+// next one, so emit must not keep the pointer. It returns the number of
 // fragments emitted.
 func (r *Rasterizer) ScanTile(st *SetupTriangle, tile Tile, emit func(*Fragment)) int {
 	x0 := maxInt(tile.X0, st.minX)
@@ -341,7 +358,7 @@ func (r *Rasterizer) ScanTile(st *SetupTriangle, tile Tile, emit func(*Fragment)
 	a, b, c := st.sv[0], st.sv[1], st.sv[2]
 	invArea := 1 / st.area2
 	emitted := 0
-	var frag Fragment
+	frag := &r.frag
 	for y := y0; y <= y1; y++ {
 		py := float32(y) + 0.5
 		for x := x0; x <= x1; x++ {
@@ -369,7 +386,7 @@ func (r *Rasterizer) ScanTile(st *SetupTriangle, tile Tile, emit func(*Fragment)
 			uOverW := l0*a.uvW.X + l1*b.uvW.X + l2*c.uvW.X
 			vOverW := l0*a.uvW.Y + l1*b.uvW.Y + l2*c.uvW.Y
 
-			frag = Fragment{
+			*frag = Fragment{
 				X: x, Y: y,
 				Depth: z,
 				UV:    vmath.Vec2{X: uOverW * w, Y: vOverW * w},
@@ -400,7 +417,7 @@ func (r *Rasterizer) ScanTile(st *SetupTriangle, tile Tile, emit func(*Fragment)
 
 			r.stats.FragmentsEmitted++
 			emitted++
-			emit(&frag)
+			emit(frag)
 		}
 	}
 	return emitted

@@ -85,8 +85,7 @@ const (
 // program with its clamp constants and the given light direction/ambient.
 func NewFragmentProgram(lightDir Vec, ambient float32) *Program {
 	p := MustAssemble("fs_textured", FragmentTexturedSrc)
-	p.Consts[8] = lightDir
-	p.Consts[9] = Vec{ambient, ambient, ambient, ambient}
+	SetLighting(p, lightDir, ambient)
 	p.Consts[10] = Vec{0, 0, 0, 0}
 	p.Consts[11] = Vec{1, 1, 1, 1}
 	p.Consts[12] = Vec{DetailUVScale, DetailUVScale, DetailUVScale, DetailUVScale}
@@ -99,6 +98,13 @@ func NewFragmentProgram(lightDir Vec, ambient float32) *Program {
 // NewUnlitFragmentProgram assembles the unlit fragment program.
 func NewUnlitFragmentProgram() *Program {
 	return MustAssemble("fs_unlit", FragmentUnlitSrc)
+}
+
+// SetLighting loads the light direction and ambient term into c8 and c9
+// of a fragment program from NewFragmentProgram.
+func SetLighting(p *Program, lightDir Vec, ambient float32) {
+	p.Consts[8] = lightDir
+	p.Consts[9] = Vec{ambient, ambient, ambient, ambient}
 }
 
 // SetMVP loads the model-view-projection matrix rows into c0..c3 of a

@@ -13,12 +13,18 @@
 #     texture L1 lookup on a quad-local stream) in internal/cache,
 #     BenchmarkAverageChildren (one Combination Unit parent texel) and
 #     BenchmarkLineTexels (the 16 texels of one memory line) in
-#     internal/texture.
+#     internal/texture, BenchmarkHMCInternalAccess (one 16-byte
+#     logic-layer vault read) in internal/hmc and BenchmarkGDDR5Access (one
+#     Baseline off-chip access) in internal/dram.
 #   - BenchmarkSynthesize: hl2's fourteen 1024x1024 procedural textures
 #     with their mip chains (internal/texture), the cost of a cold scene
 #     build. Synthesis splits each level across GOMAXPROCS goroutines.
 #   - BenchmarkRenderFrame{Baseline,ATFIM}: one uncached wolf@320x240
 #     frame per iteration, the simulator's own throughput per design.
+#   - BenchmarkSimulateWarm{ATFIM,Baseline}: one uncached doom3@160x120
+#     frame plus its metrics snapshot per iteration on a warm core engine
+#     (internal/core), whose pooled machine is reused: the steady-state
+#     cost of perfbench's frame workloads, B/op and allocs/op included.
 #   - BenchmarkSimulateShards{1,2,8}: one uncached single-frame simulation
 #     per iteration with the tile-group scan sharded across N worker
 #     goroutines. Output is byte-identical at every shard count, so
@@ -65,8 +71,11 @@ bench() { # bench PATTERN DEFAULT_BENCHTIME PACKAGE
 bench 'Benchmark(ATFIM|Baseline|STFIM)Sample$' 1s ./internal/tfim/
 bench 'BenchmarkCacheAccess$' 1s ./internal/cache/
 bench 'Benchmark(AverageChildren|LineTexels)$' 1s ./internal/texture/
+bench 'BenchmarkHMCInternalAccess$' 1s ./internal/hmc/
+bench 'BenchmarkGDDR5Access$' 1s ./internal/dram/
 bench 'BenchmarkSynthesize$' 3x ./internal/texture/
 bench 'BenchmarkRenderFrame(Baseline|ATFIM)$' 3x .
+bench 'BenchmarkSimulateWarm(ATFIM|Baseline)$' 20x ./internal/core/
 bench 'BenchmarkSimulateShards[128]$' 1x .
 bench 'BenchmarkFig10Sweep(Serial|Parallel|ColdStore|WarmStore)$' 1x ./internal/core/
 bench 'BenchmarkLeaseRoundTrip$' 100x ./internal/farm/dist/
